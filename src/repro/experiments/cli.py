@@ -430,10 +430,15 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _eprint(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
 def _cmd_campaign(args) -> int:
     from repro.api import run_campaign
     from repro.experiments.campaign import CampaignError
     from repro.experiments.figures import base_config
+    from repro.experiments.journal import ResumeError
 
     try:
         base = base_config(args.profile)
@@ -464,58 +469,6 @@ def _cmd_campaign(args) -> int:
             raise SystemExit(f"--inject-faults: {exc}")
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal JOURNAL.jsonl")
-    journal = None
-    journal_state = None
-    if args.journal:
-        import os
-
-        from repro.experiments.campaign import config_hash, sweep_specs
-        from repro.experiments.journal import RunJournal, request_identity
-
-        try:
-            cells = [
-                (s.label, config_hash(s.config))
-                for s in sweep_specs(args.algorithms, args.seeds, base=base)
-            ]
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        identity = request_identity("campaign", cells)
-        if args.resume:
-            journal_state = RunJournal.load(args.journal)
-            if journal_state is None:
-                raise SystemExit(f"--resume: no journal at {args.journal}")
-            if journal_state.identity != identity:
-                raise SystemExit(
-                    "--resume: the journal was written by a different request "
-                    "(algorithms/seeds/config/code version changed) — "
-                    "start fresh without --resume"
-                )
-            if not args.quiet:
-                print(
-                    f"resuming: {len(journal_state.done)}/{len(cells)} cells "
-                    "journaled done (replayed from cache)",
-                    file=sys.stderr,
-                )
-        else:
-            # A fresh run truncates any stale journal for this path.
-            try:
-                os.unlink(args.journal)
-            except FileNotFoundError:
-                pass
-        from repro.faults import NULL_FAULTS
-
-        journal = RunJournal(args.journal, faults=faults or NULL_FAULTS)
-        journal.begin(
-            "campaign",
-            identity,
-            {
-                "algorithms": list(args.algorithms),
-                "seeds": [int(s) for s in args.seeds],
-                "profile": args.profile,
-                "scenario": args.scenario,
-                "overrides": {k: repr(v) for k, v in overrides.items()},
-            },
-        )
     progress = None
     if not args.quiet:
         def progress(run):  # noqa: ANN001
@@ -523,14 +476,38 @@ def _cmd_campaign(args) -> int:
             print(f"  [{run.label}] {run.result.n_done}/{run.result.n_workflows} done, "
                   f"ACT={run.result.act:.0f}s AE={run.result.ae:.3f} ({src})",
                   file=sys.stderr)
-    if journal is not None:
-        user_progress = progress
-
-        def progress(run):  # noqa: ANN001
-            journal.record_done(run.cache_key, run.label, run.digest())
-            if user_progress is not None:
-                user_progress(run)
+    journal = None
     try:
+        if args.journal:
+            from repro.experiments.campaign import config_hash, sweep_specs
+            from repro.experiments.journal import RunJournal, request_identity
+            from repro.faults import NULL_FAULTS
+
+            cells = [
+                (s.label, config_hash(s.config))
+                for s in sweep_specs(args.algorithms, args.seeds, base=base)
+            ]
+            journal = RunJournal.start(
+                args.journal,
+                "campaign",
+                request_identity("campaign", cells),
+                {
+                    "algorithms": list(args.algorithms),
+                    "seeds": [int(s) for s in args.seeds],
+                    "profile": args.profile,
+                    "scenario": args.scenario,
+                    "overrides": {k: repr(v) for k, v in overrides.items()},
+                },
+                resume=args.resume,
+                faults=faults or NULL_FAULTS,
+                echo=None if args.quiet else _eprint,
+            )
+            user_progress = progress
+
+            def progress(run):  # noqa: ANN001
+                journal.record_run(run)
+                if user_progress is not None:
+                    user_progress(run)
         campaign = run_campaign(
             algorithms=args.algorithms,
             seeds=args.seeds,
@@ -543,39 +520,15 @@ def _cmd_campaign(args) -> int:
             retry_backoff=args.retry_backoff,
             faults=faults,
         )
-    except CampaignError as exc:  # run failures (message embeds each one)
-        raise SystemExit(str(exc))
-    except ValueError as exc:  # bad sweep shape, e.g. repeated seeds
+        if journal is not None:
+            journal.finish(campaign.fingerprint())
+    # Run failures (the message embeds each one), a refused or diverged
+    # resume, and bad sweep shapes such as repeated seeds.
+    except (CampaignError, ResumeError, ValueError) as exc:
         raise SystemExit(str(exc))
     finally:
         if journal is not None:
             journal.close()
-    if journal is not None:
-        # finish() lazily reopens the closed handle for the final record.
-        journal.finish(campaign.fingerprint())
-        journal.close()
-    if journal_state is not None:
-        mismatched = [
-            run.label
-            for run in campaign
-            if run.cache_key in journal_state.done
-            and run.digest() != journal_state.done[run.cache_key]
-        ]
-        if mismatched:
-            raise SystemExit(
-                "--resume: cached digests diverged from the journal for: "
-                + ", ".join(mismatched)
-            )
-        replayed = sum(
-            1
-            for run in campaign
-            if run.cache_key in journal_state.done and run.from_cache
-        )
-        print(
-            f"resume verified: {replayed} journaled cells replayed from "
-            "cache, digests match",
-            file=sys.stderr,
-        )
     headers = ["run", "finished", "ACT (s)", "AE", "source"]
     rows = [
         [
@@ -605,6 +558,7 @@ def _cmd_sweep(args) -> int:
 
     from repro.experiments.campaign import CampaignError
     from repro.experiments.figures import base_config
+    from repro.experiments.journal import ResumeError, RunJournal, request_identity
     from repro.experiments.sweep import (
         SweepError,
         SweepSettings,
@@ -637,52 +591,6 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(f"invalid --set override: {exc}")
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal JOURNAL.jsonl")
-    journal = None
-    journal_state = None
-    mismatched: list[str] = []
-    if args.journal:
-        import os
-
-        from repro import __version__
-        from repro.experiments.campaign import CACHE_SCHEMA
-        from repro.experiments.journal import RunJournal, request_identity
-
-        request = {
-            "scenarios": list(args.scenarios),
-            "algorithms": list(args.algorithms),
-            "seeds": [int(s) for s in settings.seeds],
-            "threshold": settings.threshold,
-            "resolution": settings.resolution,
-            "max_scale": settings.max_scale,
-            "overrides": {k: repr(v) for k, v in sorted(overrides.items())},
-            "profile": args.profile,
-            "quick": bool(args.quick),
-            "version": __version__,
-            "cache_schema": CACHE_SCHEMA,
-        }
-        identity = request_identity("sweep", request)
-        if args.resume:
-            journal_state = RunJournal.load(args.journal)
-            if journal_state is None:
-                raise SystemExit(f"--resume: no journal at {args.journal}")
-            if journal_state.identity != identity:
-                raise SystemExit(
-                    "--resume: the journal was written by a different sweep "
-                    "request — start fresh without --resume"
-                )
-            if not args.quiet:
-                print(
-                    f"resuming: {len(journal_state.done)} probe cells "
-                    "journaled done (replayed from cache)",
-                    file=sys.stderr,
-                )
-        else:
-            try:
-                os.unlink(args.journal)
-            except FileNotFoundError:
-                pass
-        journal = RunJournal(args.journal)
-        journal.begin("sweep", identity, request)
     progress = None
     if not args.quiet:
         def progress(scenario, algorithm, probe):  # noqa: ANN001
@@ -692,17 +600,33 @@ def _cmd_sweep(args) -> int:
                   f"{probe.n_done}/{probe.n_workflows} done "
                   f"(rate {probe.completion_rate:.3f}, {verdict}, {src})",
                   file=sys.stderr)
-    run_progress = None
-    if journal is not None:
-        def run_progress(run):  # noqa: ANN001
-            digest = run.digest()
-            journal.record_done(run.cache_key, run.label, digest)
-            if (
-                journal_state is not None
-                and journal_state.done.get(run.cache_key, digest) != digest
-            ):
-                mismatched.append(run.label)
+    journal = None
     try:
+        if args.journal:
+            from repro import __version__
+            from repro.experiments.campaign import CACHE_SCHEMA
+
+            request = {
+                "scenarios": list(args.scenarios),
+                "algorithms": list(args.algorithms),
+                "seeds": [int(s) for s in settings.seeds],
+                "threshold": settings.threshold,
+                "resolution": settings.resolution,
+                "max_scale": settings.max_scale,
+                "overrides": {k: repr(v) for k, v in sorted(overrides.items())},
+                "profile": args.profile,
+                "quick": bool(args.quick),
+                "version": __version__,
+                "cache_schema": CACHE_SCHEMA,
+            }
+            journal = RunJournal.start(
+                args.journal,
+                "sweep",
+                request_identity("sweep", request),
+                request,
+                resume=args.resume,
+                echo=None if args.quiet else _eprint,
+            )
         report = run_sweep(
             args.scenarios,
             args.algorithms,
@@ -712,28 +636,18 @@ def _cmd_sweep(args) -> int:
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             progress=progress,
-            run_progress=run_progress,
+            run_progress=journal.record_run if journal is not None else None,
             **overrides,
         )
-    except SweepError as exc:
-        raise SystemExit(str(exc))
-    except CampaignError as exc:
+        if journal is not None:
+            journal.finish(request_identity("sweep-report", report))
+    except (CampaignError, ResumeError, SweepError) as exc:
         raise SystemExit(str(exc))
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"invalid sweep request: {exc}")
     finally:
         if journal is not None:
             journal.close()
-    if journal is not None:
-        from repro.experiments.journal import request_identity as _report_hash
-
-        journal.finish(_report_hash("sweep-report", report))
-        journal.close()
-    if mismatched:
-        raise SystemExit(
-            "--resume: cached digests diverged from the journal for: "
-            + ", ".join(sorted(set(mismatched)))
-        )
     print(format_envelope(report))
     total = sum(
         cell["n_probes"]

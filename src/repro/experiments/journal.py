@@ -5,8 +5,7 @@ one.  The cache already guarantees the *results* survive (each finished
 cell is an atomically-written ``<hash>.pkl``); what a crash loses is the
 *bookkeeping* — which cells of which request were done, and what their
 digests were.  The journal persists exactly that, one JSON object per
-line, flushed and fsynced per record, so a ``SIGKILL`` can lose at most
-the record being written and never corrupts earlier ones:
+line, so a ``SIGKILL`` can lose at most the record being written:
 
 ``begin``
     opens a journal: the request's *identity hash* (a content hash of the
@@ -17,11 +16,14 @@ the record being written and never corrupts earlier ones:
 ``finish``
     the campaign completed; carries the final fingerprint.
 
-Resume = load the journal, verify identity, re-run the same request
-against the same cache: journaled-done cells replay as cache hits (no
-re-execution), and their digests are checked against the journaled ones —
-a mismatch means the cache changed identity mid-campaign and is an error,
-not a warning.
+Resume (:meth:`RunJournal.start` with ``resume=True``) = load the
+journal, verify identity, re-run the same request against the same cache:
+journaled-done cells replay as cache hits (no re-execution), and their
+digests are checked against the journaled ones by
+:meth:`RunJournal.record_run` — a mismatch means the cache changed
+identity mid-campaign, and :meth:`RunJournal.finish` raises it as an
+error, not a warning.  The file itself is an
+:class:`~repro.experiments.appendlog.AppendLog`.
 """
 
 from __future__ import annotations
@@ -30,14 +32,18 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
+from repro.experiments.appendlog import AppendLog
 from repro.faults import NULL_FAULTS
 
-__all__ = ["JournalState", "RunJournal", "request_identity"]
+__all__ = ["JournalState", "ResumeError", "RunJournal", "request_identity"]
 
 JOURNAL_SCHEMA = 1
+
+
+class ResumeError(Exception):
+    """A ``--resume`` the journal cannot honour (missing, foreign, diverged)."""
 
 
 def request_identity(kind: str, payload) -> str:
@@ -67,64 +73,61 @@ class JournalState:
     skipped_lines: int = 0
 
 
-class RunJournal:
+class RunJournal(AppendLog):
     """Append-side journal handle for one campaign/sweep process.
 
-    Not thread-safe — the CLI writes from the single-threaded
-    orchestrator's progress callback.  ``faults`` may inject
-    ``index.append`` tears; recovery (drop the handle, keep going,
-    terminate the torn tail on reopen) is the same code path a real
-    ``ENOSPC`` would take.
+    ``faults`` may inject ``index.append`` tears.  Use :meth:`start` to
+    open one for a fresh or resumed run.
     """
 
     def __init__(self, path: "str | os.PathLike", faults=NULL_FAULTS):
-        self.path = Path(path)
-        self.faults = faults
-        self._fh = None
-        #: Appends that failed (torn writes); the in-memory campaign is
-        #: unaffected, the next append reopens and repairs the tail.
-        self.append_errors = 0
+        super().__init__(path, faults)
+        #: The journal state a resumed run is verified against.
+        self.resumed: Optional[JournalState] = None
+        self._echo: Optional[Callable[[str], None]] = None
+        self._diverged: list[str] = []
+        self._replayed = 0
 
-    # ------------------------------------------------------------- writing
-    def _handle(self):
-        """Lazily (re)open for append, terminating any torn tail first."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            needs_newline = False
-            if self.path.is_file() and self.path.stat().st_size > 0:
-                with self.path.open("rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    needs_newline = fh.read(1) != b"\n"
-            self._fh = self.path.open("a", encoding="utf-8")
-            if needs_newline:
-                self._fh.write("\n")
-        return self._fh
+    @classmethod
+    def start(
+        cls,
+        path: "str | os.PathLike",
+        kind: str,
+        identity: str,
+        request: Mapping,
+        resume: bool = False,
+        faults=NULL_FAULTS,
+        echo: Optional[Callable[[str], None]] = None,
+    ) -> "RunJournal":
+        """Open the journal for one run and write its ``begin`` record.
 
-    def _append(self, record: Mapping) -> None:
-        line = json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
-        try:
-            fh = self._handle()
-            if self.faults.enabled and self.faults.check("index.append") is not None:
-                # A torn write: half the line lands on disk, no newline,
-                # and the writer sees an IO error — exactly what a crash
-                # or full disk leaves behind.
-                fh.write(line[: max(1, len(line) // 2)])
-                fh.flush()
-                raise OSError("injected torn journal append")
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        except OSError:
-            self.append_errors += 1
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:  # pragma: no cover - double-fault close
-                    pass
-                self._fh = None
+        A fresh run truncates any stale journal at ``path``; ``resume``
+        instead loads it and refuses a missing one or one written by a
+        different request (:class:`ResumeError`).  ``echo`` (e.g. a
+        stderr printer; ``None`` = silent) reports the resume.
+        """
+        journal = cls(path, faults)
+        journal._echo = echo
+        if resume:
+            state = cls.load(path)
+            if state is None:
+                raise ResumeError(f"--resume: no journal at {path}")
+            if state.identity != identity:
+                raise ResumeError(
+                    f"--resume: the journal was written by a different {kind} "
+                    "request — start fresh without --resume"
+                )
+            journal.resumed = state
+            if echo is not None:
+                echo(f"resuming: {len(state.done)} {kind} cells journaled done "
+                     "(replayed from cache)")
+        else:
+            journal.clear()
+        journal.begin(kind, identity, request)
+        return journal
 
     def begin(self, kind: str, identity: str, request: Mapping) -> None:
-        self._append(
+        self.append(
             {
                 "event": "begin",
                 "schema": JOURNAL_SCHEMA,
@@ -135,21 +138,36 @@ class RunJournal:
         )
 
     def record_done(self, key: str, label: str, digest: str) -> None:
-        self._append({"event": "done", "key": key, "label": label, "digest": digest})
+        self.append({"event": "done", "key": key, "label": label, "digest": digest})
+
+    def record_run(self, run) -> None:
+        """Journal one finished :class:`~repro.experiments.campaign.CampaignRun`
+        and, when resuming, check its digest against the journaled one."""
+        digest = run.digest()
+        self.record_done(run.cache_key, run.label, digest)
+        journaled = self.resumed.done.get(run.cache_key) if self.resumed else None
+        if journaled is None:
+            return
+        if journaled != digest:
+            self._diverged.append(run.label)
+        elif run.from_cache:
+            self._replayed += 1
 
     def finish(self, fingerprint: str) -> None:
-        self._append({"event": "finish", "fingerprint": fingerprint})
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
+        """Write the ``finish`` record and close; on a resumed run, raise
+        :class:`ResumeError` naming every cell whose digest diverged."""
+        self.append({"event": "finish", "fingerprint": fingerprint})
         self.close()
+        if self.resumed is None:
+            return
+        if self._diverged:
+            raise ResumeError(
+                "--resume: cached digests diverged from the journal for: "
+                + ", ".join(dict.fromkeys(self._diverged))
+            )
+        if self._echo is not None:
+            self._echo(f"resume verified: {self._replayed} journaled cells "
+                       "replayed from cache, digests match")
 
     # ------------------------------------------------------------- loading
     @staticmethod
@@ -157,60 +175,45 @@ class RunJournal:
         """Parse a journal; ``None`` if it doesn't exist or has no valid
         ``begin`` record.  Corrupt lines (torn tails) are skipped, and a
         later ``begin`` resets the state (a resumed run re-begins)."""
-        path = Path(path)
-        if not path.is_file():
-            return None
+        log = AppendLog(path)
         state: Optional[JournalState] = None
-        skipped = 0
-        with path.open("r", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(rec, dict):
-                    skipped += 1
-                    continue
-                event = rec.get("event")
-                if event == "begin":
-                    if (
-                        rec.get("schema") == JOURNAL_SCHEMA
-                        and isinstance(rec.get("kind"), str)
-                        and isinstance(rec.get("identity"), str)
-                    ):
-                        # Done cells carry across a re-begin only when it
-                        # is the *same* request resuming.
-                        done = (
-                            state.done
-                            if state is not None and state.identity == rec["identity"]
-                            else {}
-                        )
-                        state = JournalState(
-                            kind=rec["kind"],
-                            identity=rec["identity"],
-                            request=dict(rec.get("request") or {}),
-                            done=done,
-                        )
-                    else:
-                        skipped += 1
-                elif state is None:
-                    skipped += 1
-                elif event == "done":
-                    key, digest = rec.get("key"), rec.get("digest")
-                    if isinstance(key, str) and isinstance(digest, str):
-                        state.done[key] = digest
-                    else:
-                        skipped += 1
-                elif event == "finish":
-                    state.finished = True
-                    fp = rec.get("fingerprint")
-                    state.fingerprint = fp if isinstance(fp, str) else None
+        for rec in log.records():
+            event = rec.get("event")
+            if event == "begin":
+                if (
+                    rec.get("schema") == JOURNAL_SCHEMA
+                    and isinstance(rec.get("kind"), str)
+                    and isinstance(rec.get("identity"), str)
+                ):
+                    # Done cells carry across a re-begin only when it is
+                    # the *same* request resuming.
+                    done = (
+                        state.done
+                        if state is not None and state.identity == rec["identity"]
+                        else {}
+                    )
+                    state = JournalState(
+                        kind=rec["kind"],
+                        identity=rec["identity"],
+                        request=dict(rec.get("request") or {}),
+                        done=done,
+                    )
                 else:
-                    skipped += 1
+                    log.skipped_lines += 1
+            elif state is None:
+                log.skipped_lines += 1
+            elif event == "done":
+                key, digest = rec.get("key"), rec.get("digest")
+                if isinstance(key, str) and isinstance(digest, str):
+                    state.done[key] = digest
+                else:
+                    log.skipped_lines += 1
+            elif event == "finish":
+                state.finished = True
+                fp = rec.get("fingerprint")
+                state.fingerprint = fp if isinstance(fp, str) else None
+            else:
+                log.skipped_lines += 1
         if state is not None:
-            state.skipped_lines = skipped
+            state.skipped_lines = log.skipped_lines
         return state

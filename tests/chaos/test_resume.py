@@ -104,3 +104,97 @@ def test_resume_without_journal_is_an_error(tmp_path):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode != 0
     assert "no journal at" in err
+
+
+# --------------------------------------------------------------------------
+# Digest divergence: a journaled digest the cache no longer reproduces
+# --------------------------------------------------------------------------
+
+TINY_CLI = [
+    "--algorithms", "dsmf", "--seeds", "1", "2", "--profile", "small",
+    "--set", "n_nodes=24", "--set", "load_factor=1", "--set", "total_time=14400",
+]
+
+
+def _tamper_digest(path) -> str:
+    """Rewrite the last journaled ``done`` digest; returns its cell label."""
+    lines = path.read_text().splitlines()
+    done = [i for i, line in enumerate(lines) if json.loads(line)["event"] == "done"]
+    rec = json.loads(lines[done[-1]])
+    rec["digest"] = "0" * 64
+    lines[done[-1]] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    return rec["label"]
+
+
+def test_diverged_digest_fails_the_resume(tmp_path):
+    from chaos_helpers import tiny_specs
+    from repro.experiments.campaign import CampaignRunner, config_hash
+    from repro.experiments.journal import ResumeError, RunJournal, request_identity
+
+    specs = tiny_specs(algorithms=("dsmf",), seeds=(1, 2))
+    identity = request_identity(
+        "campaign", [(s.label, config_hash(s.config)) for s in specs]
+    )
+    path, cache = tmp_path / "run.jsonl", tmp_path / "cache"
+
+    def journaled_run(resume: bool, echo=None) -> None:
+        journal = RunJournal.start(path, "campaign", identity, {}, resume=resume, echo=echo)
+        with journal:
+            runner = CampaignRunner(jobs=1, cache_dir=cache, progress=journal.record_run)
+            journal.finish(runner.run(specs).fingerprint())
+
+    journaled_run(resume=False)
+    said: list[str] = []
+    journaled_run(resume=True, echo=said.append)
+    assert said[-1].startswith("resume verified: 2 journaled cells replayed")
+
+    label = _tamper_digest(path)
+    with pytest.raises(ResumeError, match="diverged") as exc:
+        journaled_run(resume=True)
+    assert str(exc.value).endswith(label)
+    assert specs[0].label not in str(exc.value)
+
+
+def test_diverged_digest_fails_campaign_resume_cli(tmp_path):
+    from repro.experiments.cli import main
+
+    journal, cache = tmp_path / "run.jsonl", tmp_path / "cache"
+    argv = ["campaign", *TINY_CLI, "--journal", str(journal),
+            "--cache-dir", str(cache), "--quiet"]
+    assert main(argv) == 0
+    label = _tamper_digest(journal)
+    with pytest.raises(SystemExit, match="diverged") as exc:
+        main([*argv, "--resume"])
+    assert label in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# repro sweep --journal/--resume
+# --------------------------------------------------------------------------
+
+SWEEP = ["sweep", "--quick", "--scenarios", "paper-fig4", "--algorithms", "dsmf"]
+
+
+def test_sweep_resume_replays_journaled_probes(tmp_path, capsys):
+    from repro.experiments.cli import main
+
+    journal, cache = tmp_path / "sweep.jsonl", tmp_path / "cache"
+    dirs = ["--journal", str(journal), "--cache-dir", str(cache)]
+    assert main([*SWEEP, *dirs]) == 0
+    n_done = sum(1 for e in _journal_events(journal) if e["event"] == "done")
+    assert n_done > 0
+    capsys.readouterr()
+
+    assert main([*SWEEP, *dirs, "--resume"]) == 0
+    out, err = capsys.readouterr()
+    assert f"resuming: {n_done} sweep cells journaled done" in err
+    assert f"resume verified: {n_done} journaled cells replayed from cache" in err
+    assert f"{n_done} probes ({n_done} from cache)" in out
+
+    # --quiet silences the resume report, exactly as for `repro campaign`.
+    assert main([*SWEEP, *dirs, "--resume", "--quiet"]) == 0
+    assert "resum" not in capsys.readouterr().err
+
+    with pytest.raises(SystemExit, match="different sweep request"):
+        main([*SWEEP, "--seeds", "2", *dirs, "--resume"])

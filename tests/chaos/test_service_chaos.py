@@ -7,11 +7,13 @@ from __future__ import annotations
 import copy
 import http.client
 import json
+import threading
 import time
 
 import pytest
 
 from chaos_helpers import TINY_MANIFEST
+from repro.api import run_experiment
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.client import ServiceError
 
@@ -99,6 +101,39 @@ class TestTornIndex:
         metrics = client.metrics()
         assert "repro_index_append_errors_total 1" in metrics
         assert "repro_faults_injected_total" in metrics
+
+
+# --------------------------------------------------------------------------
+# Submission-journal IO failures
+# --------------------------------------------------------------------------
+
+class TestJournalAppendFailure:
+    def test_failed_submitted_append_is_counted_not_fatal(self, make_service, tmp_path):
+        journal_path = tmp_path / "journal-is-a-dir"
+        journal_path.mkdir()  # every append raises IsADirectoryError
+        release = threading.Event()
+
+        def held_runner(config):
+            release.wait(30)  # keep the campaign from journaling `finished`
+            return run_experiment(config)
+
+        server, client = make_service(journal_path=journal_path, runner=held_runner)
+        try:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=15)
+            conn.request("POST", "/campaigns", body=json.dumps(tiny_manifest()),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            record = json.loads(response.read())
+            conn.close()
+            assert response.status == 202
+            assert server.state.journal.append_errors == 1
+            assert "repro_journal_append_errors_total 1" in client.metrics()
+        finally:
+            release.set()
+        assert client.wait(record["id"], timeout=60.0, poll=1.0)["status"] == "done"
+        # The `finished` append failed the same way, and was counted too.
+        assert server.state.journal.append_errors == 2
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The persistent experiment index (``repro.service.index``): crash-safe
-journalling, dedup-on-reload, and cache-dir rebuild."""
+"""The persistent experiment index (``repro.service.index``): latest-wins
+dedup-on-reload, its schema rule, and cache-dir rebuild.  The crash-safe
+append contract it shares with the journals is tested in
+``tests/chaos/test_journals.py``."""
 
 from __future__ import annotations
 
@@ -48,34 +50,20 @@ def test_latest_record_wins_but_order_is_first_seen(tmp_path):
 
 
 def test_corrupt_lines_are_skipped(tmp_path):
+    """Entries without a string config_hash are corrupt to the index;
+    unparseable and non-object lines are the AppendLog contract's
+    (``tests/chaos/test_journals.py``)."""
     path = tmp_path / "e.jsonl"
     lines = [
         json.dumps(_entry(H1)),
-        "{torn garbage",
-        json.dumps(["not", "a", "dict"]),
         json.dumps({"no_hash": True}),
+        json.dumps({"config_hash": 7}),
         json.dumps(_entry(H2)),
     ]
     path.write_text("\n".join(lines) + "\n")
     index = ExperimentIndex(path)
     assert len(index) == 2
-    assert index.skipped_lines == 3
-
-
-def test_torn_tail_is_terminated_before_next_append(tmp_path):
-    """A crash mid-write leaves a partial line with no newline; the next
-    record must start on its own line instead of corrupting itself."""
-    path = tmp_path / "e.jsonl"
-    path.write_text(json.dumps(_entry(H1)) + "\n" + '{"config_hash": "cafe')
-    index = ExperimentIndex(path)
-    assert len(index) == 1
-    assert index.skipped_lines == 1
-    index.record(_entry(H2))
-    index.close()
-
-    reloaded = ExperimentIndex(path)
-    assert len(reloaded) == 2  # the new record survived the torn tail
-    assert reloaded.skipped_lines == 1
+    assert index.skipped_lines == 2
 
 
 def test_entry_from_result_summarizes(tiny_run):
