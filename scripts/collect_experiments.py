@@ -21,10 +21,16 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.heuristics.registry import PAPER_ALGORITHMS
 from repro.experiments.campaign import CampaignRun, CampaignRunner, RunSpec
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import CCR_CASES, base_config
+from repro.experiments.figures import (
+    FCFS_BASES,
+    ccr_specs,
+    churn_specs,
+    fcfs_specs,
+    load_factor_specs,
+    scalability_specs,
+    static_specs,
+)
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -53,60 +59,22 @@ def digest(run: CampaignRun) -> dict:
 
 
 def build_specs(profile: str, seed: int) -> dict[str, list[RunSpec]]:
-    """One fully-resolved config per experiment of §IV, grouped by figure."""
-    groups: dict[str, list[RunSpec]] = {}
+    """One fully-resolved config per experiment of §IV, grouped by figure.
 
-    # Fig. 4/5/6 — static suite.
-    groups["fig456"] = [
-        RunSpec(alg, base_config(profile, seed=seed, algorithm=alg))
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 7/8 — load factor sweep.
-    groups["fig78"] = [
-        RunSpec(
-            f"{alg}@lf{lf}",
-            base_config(profile, seed=seed, algorithm=alg, load_factor=lf),
-        )
-        for lf in (1, 2, 3, 4, 5, 6, 7, 8)
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 9/10 — CCR sweep.
-    groups["fig910"] = [
-        RunSpec(
-            f"{alg}@{name}",
-            base_config(
-                profile, seed=seed, algorithm=alg, load_range=loads, data_range=data
-            ),
-        )
-        for (name, loads, data) in CCR_CASES
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 11 — scalability (absolute scales, paper x-axis subset).
-    horizon = base_config(profile, seed=seed).total_time
-    groups["fig11"] = [
-        RunSpec(
-            f"dsmf@n{s}",
-            ExperimentConfig(
-                algorithm="dsmf", seed=seed, n_nodes=s, total_time=horizon
-            ),
-        )
-        for s in (100, 200, 400, 600, 800, 1000, 1400, 2000)
-    ]
-    # Fig. 12/13/14 — churn.
-    groups["fig121314"] = [
-        RunSpec(
-            f"df{df:g}",
-            base_config(profile, seed=seed, algorithm="dsmf", dynamic_factor=df),
-        )
-        for df in (0.0, 0.1, 0.2, 0.3, 0.4)
-    ]
-    # Table II — FCFS second-phase ablation (plus DSMF's own phase 2).
-    groups["table2"] = [
-        RunSpec(name, base_config(profile, seed=seed, algorithm=name))
-        for b in ("min-min", "max-min", "sufferage", "dheft", "dsmf")
-        for name in (b, f"{b}-fcfs")
-    ]
-    return groups
+    The grids come from the figure harnesses' spec builders; only the
+    wider Fig. 11 x-axis and Table II's extra DSMF pair are chosen here.
+    """
+    common = dict(profile=profile, seed=seed)
+    return {
+        "fig456": static_specs(**common),
+        "fig78": load_factor_specs(**common),
+        "fig910": ccr_specs(**common),
+        "fig11": scalability_specs(
+            scales=(100, 200, 400, 600, 800, 1000, 1400, 2000), **common
+        ),
+        "fig121314": churn_specs(**common),
+        "table2": fcfs_specs(bases=FCFS_BASES + ("dsmf",), **common),
+    }
 
 
 def main() -> None:

@@ -7,8 +7,9 @@ this package decides **who is alive, when** (a
 tasks lost in a disconnection**
 (a :class:`~repro.availability.recovery.RecoveryPolicy`).
 
-The paper's fixed per-interval churn is the default model and replays the
-legacy ``repro.grid.churn.ChurnProcess`` bit-identically; session-based
+The paper's fixed per-interval churn,
+:class:`~repro.availability.models.PaperIntervalChurn`, is the default
+model; session-based
 (exponential/Weibull lifetimes), trace-driven, correlated-subtree-failure
 and growth/shrink-ramp models open the availability axis the same way the
 workload subsystem opened arrivals.  Wire-up points:

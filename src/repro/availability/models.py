@@ -2,13 +2,12 @@
 
 The paper's dynamic-grid evaluation (§IV.B, Figs. 10–14) uses one churn
 shape — a fixed fraction ``df`` of volatile nodes swapped every scheduling
-interval — which :class:`PaperIntervalChurn` reproduces bit-identically to
-the original ``repro.grid.churn.ChurnProcess`` (same RNG stream, same draw
-order, same event schedule).  Real grids are messier: availability traces
-show heavy-tailed, time-correlated node sessions (Guazzone 2014's workload
-mining; the Failure Trace Archive), and grid simulators such as GridSim
-treat resource dynamics as a first-class pluggable model.  The other
-models here cover that space:
+interval — which :class:`PaperIntervalChurn` reproduces (one RNG stream,
+a fixed draw order, a periodic event schedule).  Real grids are messier:
+availability traces show heavy-tailed, time-correlated node sessions
+(Guazzone 2014's workload mining; the Failure Trace Archive), and grid
+simulators such as GridSim treat resource dynamics as a first-class
+pluggable model.  The other models here cover that space:
 
 * :class:`SessionChurn` — per-node exponential/Weibull session lifetimes
   with per-node random rejoin delays (``session_shape`` < 1 gives the
@@ -77,10 +76,10 @@ class PaperIntervalChurn:
     disconnects a new batch sampled among alive volatile nodes, so a
     departed node stays away for at least one full interval.
 
-    This model is the default and replays the legacy
-    ``repro.grid.churn.ChurnProcess`` bit-identically: identical RNG
-    stream consumption (one ``Generator.choice`` per tick on an
-    ``np.int64`` array) and an identical periodic event schedule.
+    This model is the default.  Each tick consumes one
+    ``Generator.choice`` on an ``np.int64`` array from the ``"churn"``
+    stream, on a fixed periodic event schedule; the golden fingerprints
+    pin that stream.
     """
 
     name = "paper-interval"

@@ -50,8 +50,9 @@ from repro.api import (
     available_scenarios,
     quick_run,
 )
+from repro.experiments.campaign import CampaignError, CampaignRun, CampaignRunner
 from repro.experiments.config import ScaleProfile
-from repro.experiments.figures import FIGURES, table1_settings
+from repro.experiments.figures import FIGURES, base_config, table1_settings
 from repro.experiments.report import ascii_plot, ascii_table, write_series_csv, write_table_csv
 
 __all__ = ["main", "build_parser"]
@@ -436,8 +437,6 @@ def _eprint(message: str) -> None:
 
 def _cmd_campaign(args) -> int:
     from repro.api import run_campaign
-    from repro.experiments.campaign import CampaignError
-    from repro.experiments.figures import base_config
     from repro.experiments.journal import ResumeError
 
     try:
@@ -556,8 +555,6 @@ def _cmd_campaign(args) -> int:
 def _cmd_sweep(args) -> int:
     import json
 
-    from repro.experiments.campaign import CampaignError
-    from repro.experiments.figures import base_config
     from repro.experiments.journal import ResumeError, RunJournal, request_identity
     from repro.experiments.sweep import (
         SweepError,
@@ -785,11 +782,16 @@ def _cmd_figure(args) -> int:
     harness = FIGURES[args.figure]
     progress = None
     if not args.quiet:
-        def progress(label, r):  # noqa: ANN001
-            print(f"  [{label}] {r.n_done}/{r.n_workflows} done, "
+        def progress(run: CampaignRun) -> None:
+            r = run.result
+            print(f"  [{run.label}] {r.n_done}/{r.n_workflows} done, "
                   f"ACT={r.act:.0f}s AE={r.ae:.3f} ({r.wall_seconds:.1f}s wall)",
                   file=sys.stderr)
-    result = harness(profile=args.profile, seed=args.seed, progress=progress)
+    runner = CampaignRunner(use_cache=False, progress=progress)
+    try:
+        result = harness(profile=args.profile, seed=args.seed, runner=runner)
+    except CampaignError as exc:
+        raise SystemExit(str(exc))
     print(f"== {result.title} ==")
     if result.categories:
         headers = ["series"] + result.categories

@@ -1,10 +1,15 @@
 """Regeneration harnesses for every table and figure of §IV.
 
-Each ``figN_*`` function runs the simulations the paper's figure aggregates
-and returns a :class:`FigureResult` holding the same series/bars the figure
-plots.  The per-experiment index in DESIGN.md maps figures to these
-functions; ``python -m repro figure <n>`` renders them as ASCII plots and
-CSV.
+Each figure's grid of runs is declared once, by a ``*_specs`` function
+returning labelled :class:`~repro.experiments.campaign.RunSpec`s
+(``scripts/collect_experiments.py`` reuses them).  Each ``figN_*`` harness
+runs its grid through a :class:`~repro.experiments.campaign.CampaignRunner`
+(default: inline, uncached; pass ``runner=`` for fan-out or a cache) and
+reduces the ``label -> RunResult`` map to a :class:`FigureResult` holding
+the same series/bars the figure plots.  A failing cell raises
+:class:`~repro.experiments.campaign.CampaignError` once the grid drains.
+The per-experiment index in DESIGN.md maps figures to these functions;
+``python -m repro figure <n>`` renders them as ASCII plots and CSV.
 
 Scale profiles (``paper`` / ``medium`` / ``small``) shrink node count and
 horizon while keeping all Table I per-task parameters, preserving the
@@ -18,13 +23,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.core.heuristics.registry import PAPER_ALGORITHMS
+from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig, ScaleProfile, apply_profile
-from repro.grid.system import P2PGridSystem
 from repro.metrics.collectors import RunResult
 
 __all__ = [
     "FigureResult",
     "base_config",
+    "ccr_specs",
+    "churn_specs",
     "fig4_throughput",
     "fig5_finish_time",
     "fig6_efficiency",
@@ -36,7 +43,11 @@ __all__ = [
     "fig12_churn_throughput",
     "fig13_churn_finish_time",
     "fig14_churn_efficiency",
+    "fcfs_specs",
+    "load_factor_specs",
     "run_static_suite",
+    "scalability_specs",
+    "static_specs",
     "table1_settings",
     "table2_fcfs_ablation",
     "FIGURES",
@@ -90,28 +101,33 @@ def base_config(
     return cfg.with_(**overrides) if overrides else cfg
 
 
-def _run(cfg: ExperimentConfig) -> RunResult:
-    return P2PGridSystem(cfg).run()
+def _run_specs(specs: list[RunSpec], runner: CampaignRunner | None) -> dict[str, RunResult]:
+    return (runner or CampaignRunner(use_cache=False)).run(specs).results()
+
+
+def static_specs(
+    algorithms: Sequence[str] = PAPER_ALGORITHMS,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    **overrides,
+) -> list[RunSpec]:
+    """Fig. 4/5/6 grid: one static run per algorithm, labelled by name."""
+    cfg = base_config(profile, seed=seed, **overrides)
+    return [RunSpec(alg, cfg.with_(algorithm=alg)) for alg in algorithms]
 
 
 def run_static_suite(
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
-    progress: Callable[[str, RunResult], None] | None = None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> dict[str, RunResult]:
     """One static run per algorithm with the shared base setting.
 
     This is the workhorse behind Fig. 4, 5 and 6 (they share the runs).
     """
-    results: dict[str, RunResult] = {}
-    for alg in algorithms:
-        cfg = base_config(profile, seed=seed, **overrides).with_(algorithm=alg)
-        results[alg] = _run(cfg)
-        if progress is not None:
-            progress(alg, results[alg])
-    return results
+    return _run_specs(static_specs(algorithms, profile, seed, **overrides), runner)
 
 
 def _series_figure(
@@ -163,87 +179,11 @@ def fig6_efficiency(
 
 
 # --------------------------------------------------------------------------
-# Fig. 7/8 — load-factor sweep
+# Fig. 7–10 — load-factor and CCR sweeps
 # --------------------------------------------------------------------------
 
-def _sweep(
-    figure: str,
-    title: str,
-    ylabel: str,
-    categories: list[str],
-    configs: list[ExperimentConfig],
-    algorithms: Sequence[str],
-    metric: str,
-    progress: Callable[[str, RunResult], None] | None = None,
-) -> FigureResult:
-    series: dict[str, tuple[list[float], list[float]]] = {
-        alg: ([], []) for alg in algorithms
-    }
-    for i, cfg in enumerate(configs):
-        for alg in algorithms:
-            r = _run(cfg.with_(algorithm=alg))
-            series[alg][0].append(float(i))
-            series[alg][1].append(float(getattr(r, metric)))
-            if progress is not None:
-                progress(f"{alg}@{categories[i]}", r)
-    return FigureResult(
-        figure=figure,
-        title=title,
-        xlabel="case",
-        ylabel=ylabel,
-        series=series,
-        categories=categories,
-    )
-
-
-def _load_factor_sweep(metric, figure, title, ylabel, load_factors, profile, seed,
-                       algorithms, progress, **overrides):
-    lfs = list(load_factors)
-    configs = [
-        base_config(profile, seed=seed, **overrides).with_(load_factor=lf)
-        for lf in lfs
-    ]
-    return _sweep(
-        figure, title, ylabel, [str(lf) for lf in lfs], configs, algorithms,
-        metric, progress,
-    )
-
-
-def fig7_finish_time_vs_load(
-    load_factors: Iterable[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-    profile: ScaleProfile | str = ScaleProfile.SMALL,
-    seed: int = 1,
-    algorithms: Sequence[str] = PAPER_ALGORITHMS,
-    progress=None,
-    **overrides,
-) -> FigureResult:
-    """Fig. 7: converged ACT as the per-node workflow count grows."""
-    return _load_factor_sweep(
-        "act", "fig7", "Average Finish-Time of Workflows under Different Load Factor",
-        "Average finish-time (s)", load_factors, profile, seed, algorithms,
-        progress, **overrides,
-    )
-
-
-def fig8_efficiency_vs_load(
-    load_factors: Iterable[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-    profile: ScaleProfile | str = ScaleProfile.SMALL,
-    seed: int = 1,
-    algorithms: Sequence[str] = PAPER_ALGORITHMS,
-    progress=None,
-    **overrides,
-) -> FigureResult:
-    """Fig. 8: converged AE as the per-node workflow count grows."""
-    return _load_factor_sweep(
-        "ae", "fig8", "Average Efficiency of Workflows under Different Load Factor",
-        "Average efficiency", load_factors, profile, seed, algorithms,
-        progress, **overrides,
-    )
-
-
-# --------------------------------------------------------------------------
-# Fig. 9/10 — CCR sweep
-# --------------------------------------------------------------------------
+#: The paper's Fig. 7/8 x-axis: workflows per node.
+LOAD_FACTORS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: The paper's four (task-load range, data-size range) combinations.
 CCR_CASES: list[tuple[str, tuple[float, float], tuple[float, float]]] = [
@@ -254,31 +194,102 @@ CCR_CASES: list[tuple[str, tuple[float, float], tuple[float, float]]] = [
 ]
 
 
-def _ccr_sweep(metric, figure, title, ylabel, profile, seed, algorithms,
-               progress, **overrides):
-    configs = [
-        base_config(profile, seed=seed, **overrides).with_(
-            load_range=loads, data_range=data
-        )
-        for _, loads, data in CCR_CASES
-    ]
-    return _sweep(
-        figure, title, ylabel, [c[0] for c in CCR_CASES], configs, algorithms,
-        metric, progress,
+def load_factor_specs(
+    load_factors: Iterable[int] = LOAD_FACTORS,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    algorithms: Sequence[str] = PAPER_ALGORITHMS,
+    **overrides,
+) -> list[RunSpec]:
+    """Fig. 7/8 grid, labelled ``<algorithm>@lf<load factor>``."""
+    cfg = base_config(profile, seed=seed, **overrides)
+    return [RunSpec(f"{alg}@lf{lf}", cfg.with_(load_factor=lf, algorithm=alg))
+            for lf in load_factors for alg in algorithms]
+
+
+def ccr_specs(
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    algorithms: Sequence[str] = PAPER_ALGORITHMS,
+    **overrides,
+) -> list[RunSpec]:
+    """Fig. 9/10 grid, labelled ``<algorithm>@<CCR case name>``."""
+    cfg = base_config(profile, seed=seed, **overrides)
+    return [RunSpec(f"{alg}@{name}", cfg.with_(load_range=loads, data_range=data, algorithm=alg))
+            for name, loads, data in CCR_CASES for alg in algorithms]
+
+
+def _sweep_figure(results, cases, algorithms, metric, figure, title, ylabel) -> FigureResult:
+    """One series per algorithm over ``(category, label suffix)`` cases."""
+    series = {
+        alg: ([float(i) for i in range(len(cases))],
+              [float(getattr(results[f"{alg}@{suffix}"], metric)) for _, suffix in cases])
+        for alg in algorithms
+    }
+    return FigureResult(
+        figure=figure, title=title, xlabel="case", ylabel=ylabel,
+        series=series, categories=[category for category, _ in cases],
     )
+
+
+def _load_factor_sweep(metric, figure, title, ylabel, load_factors, profile, seed,
+                       algorithms, runner, **overrides):
+    lfs = list(load_factors)
+    results = _run_specs(load_factor_specs(lfs, profile, seed, algorithms, **overrides), runner)
+    cases = [(str(lf), f"lf{lf}") for lf in lfs]
+    return _sweep_figure(results, cases, algorithms, metric, figure, title, ylabel)
+
+
+def fig7_finish_time_vs_load(
+    load_factors: Iterable[int] = LOAD_FACTORS,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    algorithms: Sequence[str] = PAPER_ALGORITHMS,
+    runner: CampaignRunner | None = None,
+    **overrides,
+) -> FigureResult:
+    """Fig. 7: converged ACT as the per-node workflow count grows."""
+    return _load_factor_sweep(
+        "act", "fig7", "Average Finish-Time of Workflows under Different Load Factor",
+        "Average finish-time (s)", load_factors, profile, seed, algorithms,
+        runner, **overrides,
+    )
+
+
+def fig8_efficiency_vs_load(
+    load_factors: Iterable[int] = LOAD_FACTORS,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    algorithms: Sequence[str] = PAPER_ALGORITHMS,
+    runner: CampaignRunner | None = None,
+    **overrides,
+) -> FigureResult:
+    """Fig. 8: converged AE as the per-node workflow count grows."""
+    return _load_factor_sweep(
+        "ae", "fig8", "Average Efficiency of Workflows under Different Load Factor",
+        "Average efficiency", load_factors, profile, seed, algorithms,
+        runner, **overrides,
+    )
+
+
+def _ccr_sweep(metric, figure, title, ylabel, profile, seed, algorithms,
+               runner, **overrides):
+    results = _run_specs(ccr_specs(profile, seed, algorithms, **overrides), runner)
+    cases = [(name, name) for name, _, _ in CCR_CASES]
+    return _sweep_figure(results, cases, algorithms, metric, figure, title, ylabel)
 
 
 def fig9_finish_time_vs_ccr(
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
-    progress=None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 9: converged ACT under the four CCR combinations."""
     return _ccr_sweep(
         "act", "fig9", "Average Finish-Time of Workflows under Different CCRs",
-        "Average finish-time (s)", profile, seed, algorithms, progress, **overrides,
+        "Average finish-time (s)", profile, seed, algorithms, runner, **overrides,
     )
 
 
@@ -286,13 +297,13 @@ def fig10_efficiency_vs_ccr(
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
-    progress=None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 10: converged AE under the four CCR combinations."""
     return _ccr_sweep(
         "ae", "fig10", "Average Efficiency of Workflows under Different CCRs",
-        "Average efficiency", profile, seed, algorithms, progress, **overrides,
+        "Average efficiency", profile, seed, algorithms, runner, **overrides,
     )
 
 
@@ -300,49 +311,57 @@ def fig10_efficiency_vs_ccr(
 # Fig. 11 — scalability of DSMF
 # --------------------------------------------------------------------------
 
-def fig11_scalability(
-    scales: Iterable[int] = (100, 200, 400, 600, 800, 1000),
+def _fig11_scales(scales: Iterable[int] | None, profile) -> list[int]:
+    """Explicit scales run as given; the ``small`` default stops at 400."""
+    if scales is None:
+        small = ScaleProfile(profile) is ScaleProfile.SMALL
+        scales = (100, 200, 400) if small else (100, 200, 400, 600, 800, 1000)
+    return [int(s) for s in scales]
+
+
+def scalability_specs(
+    scales: Iterable[int] | None = None,
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
-    progress=None,
+    **overrides,
+) -> list[RunSpec]:
+    """Fig. 11 grid: DSMF at absolute node counts over the profile's
+    horizon, labelled ``dsmf@n<scale>``."""
+    horizon = base_config(profile, seed=seed).total_time
+    fixed = dict(algorithm="dsmf", seed=seed, total_time=horizon)
+    return [RunSpec(f"dsmf@n{s}", ExperimentConfig(**{**fixed, "n_nodes": s, **overrides}))
+            for s in _fig11_scales(scales, profile)]
+
+
+def fig11_scalability(
+    scales: Iterable[int] | None = None,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 11: DSMF vs system scale — (a) nodes known per node via the
     mixed gossip protocol, (b) average efficiency, (c) average finish time.
 
-    The ``small`` profile shrinks the default scale list; pass ``scales``
-    explicitly (e.g. 200..2000) for the paper's x-axis.
+    Without ``scales`` the ``small`` profile shrinks the default scale
+    list; pass ``scales`` explicitly (e.g. 200..2000) for the paper's
+    x-axis — explicit scales are run as given.
     """
-    if ScaleProfile(profile) is ScaleProfile.SMALL:
-        scales = tuple(s for s in scales if s <= 400) or (100, 200)
-    cats = [str(s) for s in scales]
-    horizon = base_config(profile, seed=seed).total_time
-    known: list[float] = []
-    ae: list[float] = []
-    act: list[float] = []
-    for s in scales:
-        params: dict = dict(
-            algorithm="dsmf", n_nodes=int(s), seed=seed, total_time=horizon
-        )
-        params.update(overrides)
-        r = _run(ExperimentConfig(**params))
-        known.append(r.rss_mean)
-        ae.append(r.ae)
-        act.append(r.act)
-        if progress is not None:
-            progress(f"dsmf@n={s}", r)
-    idx = [float(i) for i in range(len(cats))]
+    scales = _fig11_scales(scales, profile)
+    results = _run_specs(scalability_specs(scales, profile, seed, **overrides), runner)
+    runs = [results[f"dsmf@n{s}"] for s in scales]
+    idx = [float(i) for i in range(len(scales))]
     return FigureResult(
         figure="fig11",
         title="System Scalability of DSMF",
         xlabel="system scale (n)",
         ylabel="(a) known nodes / (b) AE / (c) ACT",
         series={
-            "known_nodes": (idx, known),
-            "avg_efficiency": (idx, ae),
-            "avg_finish_time": (idx, act),
+            "known_nodes": (idx, [r.rss_mean for r in runs]),
+            "avg_efficiency": (idx, [r.ae for r in runs]),
+            "avg_finish_time": (idx, [r.act for r in runs]),
         },
-        categories=cats,
+        categories=[str(s) for s in scales],
     )
 
 
@@ -350,29 +369,38 @@ def fig11_scalability(
 # Fig. 12/13/14 — churn
 # --------------------------------------------------------------------------
 
-def _churn_suite(profile, seed, dynamic_factors, progress, **overrides):
-    results = {}
-    for df in dynamic_factors:
-        cfg = base_config(profile, seed=seed, **overrides).with_(
-            algorithm="dsmf", dynamic_factor=df
-        )
-        label = f"dynamic factor={df:g}"
-        results[label] = _run(cfg)
-        if progress is not None:
-            progress(label, results[label])
-    return results
+#: The paper's Fig. 12–14 dynamic factors.
+DYNAMIC_FACTORS = (0.0, 0.1, 0.2, 0.3, 0.4)
+
+
+def churn_specs(
+    dynamic_factors: Iterable[float] = DYNAMIC_FACTORS,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    **overrides,
+) -> list[RunSpec]:
+    """Fig. 12/13/14 grid: DSMF per dynamic factor, labelled ``df<factor>``."""
+    cfg = base_config(profile, seed=seed, **overrides)
+    return [RunSpec(f"df{df:g}", cfg.with_(algorithm="dsmf", dynamic_factor=df))
+            for df in dynamic_factors]
+
+
+def _churn_suite(profile, seed, dynamic_factors, runner, **overrides):
+    dfs = list(dynamic_factors)
+    results = _run_specs(churn_specs(dfs, profile, seed, **overrides), runner)
+    return {f"dynamic factor={df:g}": results[f"df{df:g}"] for df in dfs}
 
 
 def fig12_churn_throughput(
-    dynamic_factors: Iterable[float] = (0.0, 0.1, 0.2, 0.3, 0.4),
+    dynamic_factors: Iterable[float] = DYNAMIC_FACTORS,
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
     results: dict[str, RunResult] | None = None,
-    progress=None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 12: DSMF throughput over time under churn."""
-    results = results or _churn_suite(profile, seed, dynamic_factors, progress, **overrides)
+    results = results or _churn_suite(profile, seed, dynamic_factors, runner, **overrides)
     return _series_figure(
         results, "throughput", "fig12",
         "Throughput of DSMF in Dynamic Environment", "# of workflows finished",
@@ -380,15 +408,15 @@ def fig12_churn_throughput(
 
 
 def fig13_churn_finish_time(
-    dynamic_factors: Iterable[float] = (0.0, 0.1, 0.2, 0.3, 0.4),
+    dynamic_factors: Iterable[float] = DYNAMIC_FACTORS,
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
     results: dict[str, RunResult] | None = None,
-    progress=None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 13: ACT of finished workflows over time under churn."""
-    results = results or _churn_suite(profile, seed, dynamic_factors, progress, **overrides)
+    results = results or _churn_suite(profile, seed, dynamic_factors, runner, **overrides)
     return _series_figure(
         results, "act", "fig13",
         "Average Finish-Time of DSMF in Dynamic Environment",
@@ -397,15 +425,15 @@ def fig13_churn_finish_time(
 
 
 def fig14_churn_efficiency(
-    dynamic_factors: Iterable[float] = (0.0, 0.1, 0.2, 0.3, 0.4),
+    dynamic_factors: Iterable[float] = DYNAMIC_FACTORS,
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
     results: dict[str, RunResult] | None = None,
-    progress=None,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """Fig. 14: AE of finished workflows over time under churn."""
-    results = results or _churn_suite(profile, seed, dynamic_factors, progress, **overrides)
+    results = results or _churn_suite(profile, seed, dynamic_factors, runner, **overrides)
     return _series_figure(
         results, "ae", "fig14",
         "Average Efficiency of DSMF in Dynamic Environment", "Average efficiency",
@@ -435,11 +463,27 @@ def table1_settings() -> list[tuple[str, str]]:
     ]
 
 
+#: The Table II base heuristics (each also run with an FCFS second phase).
+FCFS_BASES = ("min-min", "max-min", "sufferage", "dheft")
+
+
+def fcfs_specs(
+    bases: Sequence[str] = FCFS_BASES,
+    profile: ScaleProfile | str = ScaleProfile.SMALL,
+    seed: int = 1,
+    **overrides,
+) -> list[RunSpec]:
+    """Table II grid: each base heuristic and its ``<base>-fcfs`` twin,
+    labelled by algorithm name."""
+    cfg = base_config(profile, seed=seed, **overrides)
+    return [RunSpec(name, cfg.with_(algorithm=name)) for b in bases for name in (b, f"{b}-fcfs")]
+
+
 def table2_fcfs_ablation(
     profile: ScaleProfile | str = ScaleProfile.SMALL,
     seed: int = 1,
-    bases: Sequence[str] = ("min-min", "max-min", "sufferage", "dheft"),
-    progress=None,
+    bases: Sequence[str] = FCFS_BASES,
+    runner: CampaignRunner | None = None,
     **overrides,
 ) -> FigureResult:
     """§IV.B prose ("Table II"): converged ACT with the heuristic second
@@ -448,25 +492,19 @@ def table2_fcfs_ablation(
     The paper reports 31977/33495/30321/30728 (heuristic) vs
     32874/33746/32781/32636 (FCFS) — FCFS is consistently worse.
     """
-    series: dict[str, tuple[list[float], list[float]]] = {
-        "phase2-heuristic": ([], []),
-        "phase2-fcfs": ([], []),
-    }
-    for i, b in enumerate(bases):
-        for label, name in (("phase2-heuristic", b), ("phase2-fcfs", f"{b}-fcfs")):
-            cfg = base_config(profile, seed=seed, **overrides).with_(algorithm=name)
-            r = _run(cfg)
-            series[label][0].append(float(i))
-            series[label][1].append(r.act)
-            if progress is not None:
-                progress(name, r)
+    bases = list(bases)
+    results = _run_specs(fcfs_specs(bases, profile, seed, **overrides), runner)
+    xs = [float(i) for i in range(len(bases))]
     return FigureResult(
         figure="table2",
         title="Second-phase scheduling vs FCFS (converged ACT)",
         xlabel="base heuristic",
         ylabel="Average finish-time (s)",
-        series=series,
-        categories=list(bases),
+        series={
+            "phase2-heuristic": (xs, [results[b].act for b in bases]),
+            "phase2-fcfs": (list(xs), [results[f"{b}-fcfs"].act for b in bases]),
+        },
+        categories=bases,
     )
 
 

@@ -32,9 +32,9 @@ Consumers that still need real NumPy calls on the *same* stream (e.g.
 generator's state, delegates, and reads it back.
 
 Every fast path is verified value- and state-exact against NumPy by
-``tests/sim/test_fastrand.py``; on bit generators without the expected
-buffered-uint32 state layout the sampler transparently falls back to the
-plain ``Generator`` calls.
+``tests/sim/test_fastrand.py``.  Only bit generators with that
+buffered-uint32 state layout are accepted (``RngHub`` builds PCG64); any
+other raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class FastSampler:
     """
 
     __slots__ = (
-        "generator", "_bg", "_raw", "_has", "_buf", "native", "_seen",
+        "generator", "_bg", "_raw", "_has", "_buf", "_seen",
         "_pre", "_pi",
     )
 
@@ -80,23 +80,15 @@ class FastSampler:
     def __init__(self, generator: np.random.Generator):
         self.generator = generator
         self._bg = generator.bit_generator
-        state = getattr(self._bg, "state", None)
-        self.native = not (
-            isinstance(state, dict)
-            and state.get("bit_generator") in _BUFFERED_U32_BITGENS
-            and "has_uint32" in state
-            and "uinteger" in state
-            and hasattr(self._bg, "random_raw")
-            and hasattr(self._bg, "advance")
-        )
-        if self.native:  # pragma: no cover - exotic bit generators only
-            self._raw = None
-            self._has = False
-            self._buf = 0
-        else:
-            self._raw = self._bg.random_raw
-            self._has = bool(state["has_uint32"])
-            self._buf = int(state["uinteger"])
+        state = self._bg.state
+        if state.get("bit_generator") not in _BUFFERED_U32_BITGENS:
+            raise ValueError(
+                f"FastSampler needs one of {sorted(_BUFFERED_U32_BITGENS)}, "
+                f"got {state.get('bit_generator')!r}"
+            )
+        self._raw = self._bg.random_raw
+        self._has = bool(state["has_uint32"])
+        self._buf = int(state["uinteger"])
         #: Reusable Floyd exclusion set (cleared per call; draws never nest).
         self._seen: set[int] = set()
         #: Prefetched 64-bit raw words and the consumption cursor.
@@ -206,8 +198,6 @@ class FastSampler:
         """``int(generator.integers(0, n))`` for ``1 <= n <= 2**32``."""
         if n <= 1:
             return 0
-        if self.native:  # pragma: no cover - fallback
-            return int(self.generator.integers(0, n))
         return self._lemire(n - 1)
 
     def pick(self, seq):
@@ -231,10 +221,6 @@ class FastSampler:
             return out
         if n <= 1:
             out[:] = 0  # range of zero consumes nothing, as in NumPy
-            return out
-        if self.native:  # pragma: no cover - fallback
-            for i in range(size):
-                out[i] = int(self.generator.integers(0, n))
             return out
         rng_excl = n
         words = self._u32_block(size)
@@ -275,8 +261,6 @@ class FastSampler:
         stream-exact.  Used for the batched rounds' random sort keys
         (without-replacement sampling via key ranking).
         """
-        if self.native:  # pragma: no cover - fallback
-            return self.generator.random(size)
         if size == 0:
             return np.empty(0, dtype=np.float64)
         pre = self._pre
@@ -300,8 +284,6 @@ class FastSampler:
         ``random_raw`` call (the rejection loops almost never fire for the
         tiny ranges gossip uses, so the batch size is exact in practice).
         """
-        if self.native:  # pragma: no cover - fallback
-            return [int(x) for x in self.generator.choice(n, size=k, replace=False)]
         if k == 1:
             # Floyd with an empty exclusion set and no tail shuffle: one
             # bounded draw (the aggregation-pairing hot case).
@@ -394,9 +376,6 @@ class FastSampler:
         Large-array shuffles are much faster in NumPy's C loop; this keeps
         them there while the mirror stays stream-aligned.
         """
-        if self.native:  # pragma: no cover - fallback
-            self.generator.shuffle(array)
-            return
         self.sync_to_numpy()
         self.generator.shuffle(array)
         self.sync_from_numpy()
@@ -407,8 +386,6 @@ class FastSampler:
         rewind the bit generator past the unconsumed prefetched words, then
         push the mirrored uint32 buffer into its state (in that order —
         ``advance`` clears the buffer fields)."""
-        if self.native:  # pragma: no cover - fallback
-            return
         unconsumed = len(self._pre) - self._pi
         if unconsumed:
             self._bg.advance(-unconsumed)
@@ -423,8 +400,6 @@ class FastSampler:
         """Re-read the buffer after direct ``Generator`` calls (the
         prefetch is empty at this point: :meth:`sync_to_numpy` must have
         run before the NumPy calls)."""
-        if self.native:  # pragma: no cover - fallback
-            return
         self._pre = []
         self._pi = 0
         state = self._bg.state

@@ -147,6 +147,18 @@ def test_figure_requires_known_figure():
         build_parser().parse_args(["figure", "99"])
 
 
+def test_figure_cell_failure_exits_with_message(monkeypatch):
+    from repro.experiments.campaign import CampaignError
+    from repro.experiments.figures import FIGURES
+
+    def broken(runner, **kw):
+        raise CampaignError([("dsmf", "RuntimeError: boom")])
+
+    monkeypatch.setitem(FIGURES, "4", broken)
+    with pytest.raises(SystemExit, match=r"\[dsmf\] RuntimeError: boom"):
+        main(["figure", "4", "--quiet"])
+
+
 def test_parser_profile_choices():
     args = build_parser().parse_args(["figure", "4", "--profile", "paper"])
     assert args.profile == "paper"

