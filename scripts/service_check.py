@@ -10,12 +10,14 @@ Usage::
 ``first`` runs against a cold server: submit a small campaign, long-poll
 it to completion, re-submit the identical manifest and assert it is
 served entirely from cache, fetch every result by config hash and the
-``/experiments`` index, then scrape ``/metrics`` and parse it as
-Prometheus text.  ``restarted`` runs against a *new* server process
-on the same cache/index directories and asserts the persistent index
-still lists the first phase's runs (and that the cache still serves
-them).  ``killresume`` manages its *own* two server processes: it
-SIGKILLs the first one mid-campaign, restarts on the same directories,
+``/experiments`` index, run a one-heuristic capacity sweep through
+``POST /sweeps`` and validate its envelope report, then scrape
+``/metrics`` and parse it as Prometheus text.  ``restarted`` runs
+against a *new* server process on the same cache/index directories and
+asserts the persistent index still lists the first phase's runs (and
+that the cache still serves them and every probe of the sweep).
+``killresume`` manages its *own* two server processes: it SIGKILLs the
+first one mid-campaign, restarts on the same directories,
 and asserts the submission journal resumes the campaign under its
 original id with every pre-kill cell replayed from cache and all result
 digests identical to a clean in-process run.  Every request carries a
@@ -28,6 +30,7 @@ from __future__ import annotations
 import sys
 
 from repro.experiments.campaign import config_hash
+from repro.experiments.sweep import validate_envelope
 from repro.obs.telemetry import parse_prometheus
 from repro.service.client import ServiceClient
 from repro.service.schemas import manifest_specs
@@ -36,6 +39,16 @@ MANIFEST = {
     "algorithms": ["dsmf"],
     "seeds": [1, 2],
     "overrides": {"n_nodes": 40, "load_factor": 1, "total_time": 21600.0},
+}
+
+
+#: One heuristic, a coarse grid: a handful of small probes.
+SWEEP = {
+    "scenarios": ["paper-fig4"],
+    "algorithms": ["dsmf"],
+    "overrides": {"n_nodes": 24, "load_factor": 1, "total_time": 28800.0},
+    "resolution": 0.5,
+    "max_scale": 2.0,
 }
 
 
@@ -56,6 +69,20 @@ def submit_and_wait(client: ServiceClient) -> dict:
           f"({record['n_cached']}/{record['progress']['total']} from cache)",
           flush=True)
     return record
+
+
+def sweep_and_wait(client: ServiceClient) -> dict:
+    """Submit :data:`SWEEP`, wait for it, validate the report; return the
+    ``dsmf`` cell."""
+    record = client.submit_sweep(SWEEP)
+    record = client.wait(record["id"], timeout=240)
+    assert record["status"] == "done", record
+    problems = validate_envelope(record["report"])
+    assert not problems, problems
+    cell = record["report"]["scenarios"][0]["heuristics"]["dsmf"]
+    print(f"sweep {record['id']} done: saturation x{cell['saturation_scale']:g} "
+          f"({cell['n_cached']}/{cell['n_probes']} probes from cache)", flush=True)
+    return cell
 
 
 def check_results_and_index(client: ServiceClient) -> None:
@@ -95,6 +122,7 @@ def phase_first(client: ServiceClient) -> None:
     )
     assert all(run["from_cache"] for run in replay["runs"]), replay
     check_results_and_index(client)
+    sweep_and_wait(client)
     check_metrics(client)
 
 
@@ -105,6 +133,10 @@ def phase_restarted(client: ServiceClient) -> None:
     replay = submit_and_wait(client)
     assert replay["n_cached"] == replay["progress"]["total"], (
         f"restarted server re-ran cached configs: {replay}"
+    )
+    cell = sweep_and_wait(client)
+    assert cell["n_cached"] == cell["n_probes"], (
+        f"restarted server re-ran cached sweep probes: {cell}"
     )
 
 

@@ -184,6 +184,9 @@ def run_sweep(
     cache_dir=None,
     use_cache: bool = True,
     progress=None,
+    max_retries: int = 2,
+    retry_backoff: float = 0.25,
+    faults=None,
     **overrides,
 ) -> "dict":
     """Bisect each heuristic's saturation point on the named scenarios.
@@ -193,15 +196,18 @@ def run_sweep(
     ``workload_scale`` config knob — doubling until the mean completion
     rate over ``seeds`` drops below ``threshold``, then bisecting the
     bracket to ``resolution``.  Every probe is a cached campaign cell, so
-    repeated/overlapping sweeps replay instantly.  Returns the JSON-ready
-    capacity-envelope report (render it with
+    repeated/overlapping sweeps replay instantly.  ``max_retries``,
+    ``retry_backoff`` and ``faults`` behave as in :func:`run_campaign`.
+    Returns the JSON-ready capacity-envelope report (render it with
     :func:`repro.experiments.sweep.format_envelope`)::
 
         from repro import run_sweep
         report = run_sweep(["paper-fig4"], ["dsmf", "heft"], seeds=[1, 2])
     """
+    from repro.experiments.campaign import CampaignRunner
     from repro.experiments.sweep import SweepSettings
     from repro.experiments.sweep import run_sweep as _run
+    from repro.faults import NULL_FAULTS
 
     settings = SweepSettings(
         threshold=threshold,
@@ -209,15 +215,18 @@ def run_sweep(
         max_scale=max_scale,
         seeds=tuple(int(s) for s in seeds),
     )
+    runner = CampaignRunner(
+        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
+        max_retries=max_retries, retry_backoff=retry_backoff,
+        faults=NULL_FAULTS if faults is None else faults,
+    )
     return _run(
         scenarios,
         algorithms,
         base=base,
         settings=settings,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
         progress=progress,
+        runner=runner,
         **overrides,
     )
 

@@ -484,7 +484,7 @@ class CampaignRunner:
         Disable to force fresh runs and skip cache writes.
     runner:
         The per-config work function (module-level, picklable); injectable
-        for tests.  Default builds and runs a
+        for tests.  ``None`` (the default) builds and runs a
         :class:`~repro.grid.system.P2PGridSystem`.
     mp_context:
         multiprocessing start method (``None`` = platform default;
@@ -518,14 +518,13 @@ class CampaignRunner:
         jobs: int = 1,
         cache_dir: "str | os.PathLike | None" = None,
         use_cache: bool = True,
-        runner: Callable[[ExperimentConfig], RunResult] = _default_runner,
+        runner: Optional[Callable[[ExperimentConfig], RunResult]] = None,
         mp_context: Optional[str] = None,
         progress: Optional[Callable[[CampaignRun], None]] = None,
         on_start: Optional[Callable[[RunSpec, str], None]] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.25,
         faults=NULL_FAULTS,
-        stats: Optional[dict] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -536,7 +535,7 @@ class CampaignRunner:
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.use_cache = use_cache
-        self.runner = runner
+        self.runner = _default_runner if runner is None else runner
         self.mp_context = mp_context
         self.progress = progress
         self.on_start = on_start
@@ -545,9 +544,9 @@ class CampaignRunner:
         self.faults = faults
         #: Cumulative robustness counters across every run() on this
         #: runner; each :class:`CampaignResult` carries its own delta in
-        #: ``.stats``.  An externally-supplied dict lets the service
-        #: aggregate across runners for ``/metrics``.
-        self.stats: dict = {} if stats is None else stats
+        #: ``.stats``.  The service keeps one runner for its lifetime and
+        #: exposes these on ``/metrics``.
+        self.stats: dict = {}
 
     # ----------------------------------------------------------------- cache
     def _cache_path(self, key: str) -> Path:

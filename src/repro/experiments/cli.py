@@ -624,16 +624,19 @@ def _cmd_sweep(args) -> int:
                 resume=args.resume,
                 echo=None if args.quiet else _eprint,
             )
+        runner = CampaignRunner(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            progress=journal.record_run if journal is not None else None,
+        )
         report = run_sweep(
             args.scenarios,
             args.algorithms,
             base=base,
             settings=settings,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
             progress=progress,
-            run_progress=journal.record_run if journal is not None else None,
+            runner=runner,
             **overrides,
         )
         if journal is not None:

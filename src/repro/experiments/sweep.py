@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence
 
 from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig
-from repro.faults import NULL_FAULTS
 
 __all__ = [
     "SWEEP_SCHEMA",
@@ -162,18 +161,8 @@ def run_sweep(
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     base: Optional[ExperimentConfig] = None,
     settings: Optional[SweepSettings] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    use_cache: bool = True,
     progress: Optional[Callable[[str, str, "_Probe"], None]] = None,
-    runner: Optional[Callable] = None,
-    mp_context: Optional[str] = None,
-    run_progress: Optional[Callable] = None,
-    run_on_start: Optional[Callable] = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.25,
-    faults=NULL_FAULTS,
-    stats: Optional[dict] = None,
+    runner: Optional[CampaignRunner] = None,
     **overrides,
 ) -> dict:
     """Bisect every (scenario × heuristic) cell to its saturation scale.
@@ -181,31 +170,23 @@ def run_sweep(
     Returns the capacity-envelope report (schema :data:`SWEEP_SCHEMA`).
     ``base``/``overrides`` shape the per-scenario config exactly like
     :func:`repro.api.run_campaign`; ``progress`` is called with
-    ``(scenario, algorithm, probe)`` after every probe, while
-    ``run_progress``/``run_on_start`` are the finer-grained per-config
-    :class:`CampaignRunner` callbacks (the service layer's status hooks).
-    All probes of a cell run through one shared :class:`CampaignRunner`,
-    so they are content-hash cached and an interrupted sweep resumes for
-    free; ``max_retries``/``retry_backoff``/``faults``/``stats`` forward
-    to that runner (see :class:`CampaignRunner`).
+    ``(scenario, algorithm, probe)`` after every probe.  Every probe runs
+    on ``runner`` (default: a fresh :class:`CampaignRunner`), so probes
+    are content-hash cached and an interrupted sweep resumes for free;
+    fan-out, caching, retries, faults and the per-config callbacks are
+    the runner's settings.
     """
     if not scenarios:
         raise SweepError("need at least one scenario")
     if not algorithms:
         raise SweepError("need at least one algorithm")
+    if len(set(scenarios)) != len(scenarios):
+        raise SweepError("duplicate scenario in sweep request")
     if len(set(algorithms)) != len(algorithms):
         raise SweepError("duplicate algorithm in sweep request")
     settings = settings or SweepSettings()
-    kwargs: dict = {}
-    if runner is not None:
-        kwargs["runner"] = runner
-    campaign_runner = CampaignRunner(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        mp_context=mp_context, progress=run_progress, on_start=run_on_start,
-        max_retries=max_retries, retry_backoff=retry_backoff,
-        faults=faults, stats=stats,
-        **kwargs,
-    )
+    if runner is None:
+        runner = CampaignRunner()
     bases = {name: _resolve_base(name, base, overrides) for name in scenarios}
 
     def probe(scenario: str, algorithm: str, scale: float) -> _Probe:
@@ -217,7 +198,7 @@ def run_sweep(
             )
             for seed in settings.seeds
         ]
-        outcome = campaign_runner.run(specs)
+        outcome = runner.run(specs)
         rates, acts, aes = [], [], []
         n_done = n_wf = 0
         cached = True

@@ -379,7 +379,7 @@ class _Handler(BaseHTTPRequestHandler):
         """The full Prometheus exposition: HTTP counters + service gauges."""
         state = self.server.state
         counts = state.queue.status_counts()
-        robust = state.queue.stats
+        robust = state.queue.runner.stats
         families = state.metrics.families() + [
             (
                 "repro_service_campaigns",
@@ -496,6 +496,10 @@ class ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog.  socketserver's default of 5 overflows under a
+    #: burst of concurrent clients, and the dropped SYNs cost each of them
+    #: a one-second retransmit.
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], state: ServiceState, verbose: bool = False):
         self.state = state

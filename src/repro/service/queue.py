@@ -1,9 +1,10 @@
 """The submission queue: serial campaign execution over the shared cache.
 
-One worker thread drains submitted campaigns in FIFO order; each campaign
-fans out through :class:`~repro.experiments.campaign.CampaignRunner`'s
-process pool.  Serial campaign execution is a deliberate design choice,
-not a limitation: together with the content-addressed cache (and the
+One worker thread drains submitted campaigns and sweeps in FIFO order;
+every one of them fans out through the queue's single
+:class:`~repro.experiments.campaign.CampaignRunner` and its process pool.
+Serial campaign execution is a deliberate design choice, not a
+limitation: together with the content-addressed cache (and the
 runner's own within-sweep dedup) it gives the service its coalescing
 guarantee — when N clients concurrently submit overlapping manifests,
 every distinct config hash is simulated **exactly once**; later campaigns
@@ -21,14 +22,13 @@ import queue as _queuemod
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.experiments.campaign import (
     CampaignError,
     CampaignRunner,
     config_hash,
 )
-from repro.faults import NULL_FAULTS
 from repro.service.index import ExperimentIndex, entry_from_result
 from repro.service.schemas import manifest_specs, sweep_request
 
@@ -134,19 +134,9 @@ class CampaignQueue:
 
     Parameters
     ----------
-    cache_dir:
-        The content-addressed result cache shared with the CLI.
     index:
         The persistent experiment index; every completed run (cache hits
         included) is recorded there.
-    jobs:
-        Worker processes per campaign (the fan-out *inside* a campaign).
-    runner:
-        Injectable per-config work function (tests use a counting stub);
-        forwarded to :class:`~repro.experiments.campaign.CampaignRunner`.
-    use_cache:
-        Disable only in diagnostics — without the cache the coalescing
-        guarantee degrades to within-campaign dedup.
     journal:
         Optional :class:`~repro.service.journal.ServiceJournal`.  When
         given, accepted submissions are journaled before the client sees
@@ -158,37 +148,32 @@ class CampaignQueue:
         new submission raises :class:`QueueFullError` (the HTTP layer
         turns it into ``429`` + ``Retry-After``) instead of growing the
         backlog without limit.  ``None`` = unbounded.
-    faults:
-        A :class:`~repro.faults.FaultPlan` forwarded to every runner
-        (default: the zero-overhead null plan).
+    runner_options:
+        Settings of the queue's one
+        :class:`~repro.experiments.campaign.CampaignRunner` (``cache_dir``,
+        ``jobs``, ``runner``, ``use_cache``, ``mp_context``, ``faults``,
+        ...).  Every campaign and sweep runs on it, so ``runner.stats``
+        counts retries, pool rebuilds and cache errors over the queue's
+        lifetime (exposed on ``/metrics``).  Disable ``use_cache`` only in
+        diagnostics — without the cache the coalescing guarantee degrades
+        to within-campaign dedup.
     """
 
     def __init__(
         self,
-        cache_dir,
         index: ExperimentIndex,
-        jobs: int = 1,
-        runner: Optional[Callable] = None,
-        use_cache: bool = True,
-        mp_context: Optional[str] = None,
         journal: "Optional[ServiceJournal]" = None,
         max_pending: Optional[int] = None,
-        faults=NULL_FAULTS,
+        **runner_options,
     ):
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        self.cache_dir = cache_dir
         self.index = index
-        self.jobs = jobs
-        self.runner = runner
-        self.use_cache = use_cache
-        self.mp_context = mp_context
         self.journal = journal
         self.max_pending = max_pending
-        self.faults = faults
-        #: Robustness counters aggregated across every campaign runner
-        #: (retries, pool rebuilds, cache errors) — exposed on /metrics.
-        self.stats: dict = {}
+        self.runner = CampaignRunner(
+            progress=self._run_done, on_start=self._run_started, **runner_options
+        )
         self._queue: _queuemod.Queue = _queuemod.Queue()
         self._campaigns: dict[str, CampaignState] = {}
         self._lock = threading.RLock()
@@ -196,6 +181,9 @@ class CampaignQueue:
         #: ``version`` and notifies all waiters (see :meth:`get`).
         self._changed = threading.Condition(self._lock)
         self._seq = 0
+        #: The campaign the worker thread has in flight (the runner hooks
+        #: update it); the worker runs one at a time.
+        self._current: Optional[str] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         if journal is not None:
@@ -212,13 +200,7 @@ class CampaignQueue:
         for entry in unfinished:
             cid, kind, manifest = entry["id"], entry["kind"], entry["manifest"]
             try:
-                if kind == "sweep":
-                    payload: object = sweep_request(manifest)
-                    runs: list[RunState] = []
-                else:
-                    specs = manifest_specs(manifest)
-                    payload = specs
-                    runs = [RunState(s.label, config_hash(s.config)) for s in specs]
+                self._enqueue(kind, manifest, resumed_id=cid)
             except Exception as exc:
                 if self.journal is not None:
                     self.journal.finished(cid, "failed")
@@ -231,16 +213,6 @@ class CampaignQueue:
                     submitted_at=time.time(),
                     resumed=True,
                 )
-                continue
-            self._campaigns[cid] = CampaignState(
-                id=cid,
-                manifest=dict(manifest),
-                kind=kind,
-                runs=runs,
-                submitted_at=time.time(),
-                resumed=True,
-            )
-            self._queue.put((kind, cid, payload))
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -267,24 +239,7 @@ class CampaignQueue:
         validation failure — nothing invalid ever reaches the worker —
         and :class:`QueueFullError` when the bounded queue is at depth.
         """
-        specs = manifest_specs(manifest)
-        runs = [RunState(s.label, config_hash(s.config)) for s in specs]
-        with self._lock:
-            self._check_capacity()
-            self._seq += 1
-            cid = f"c{self._seq:06d}"
-            state = CampaignState(
-                id=cid,
-                manifest=dict(manifest),
-                runs=runs,
-                submitted_at=time.time(),
-            )
-            self._campaigns[cid] = state
-            snapshot = state.to_dict()
-        if self.journal is not None:
-            self.journal.submitted(cid, "campaign", manifest)
-        self._queue.put(("campaign", cid, specs))
-        return snapshot
+        return self._enqueue("campaign", manifest)
 
     def submit_sweep(self, manifest: Mapping) -> dict:
         """Validate a sweep manifest, enqueue the capacity sweep.
@@ -298,22 +253,41 @@ class CampaignQueue:
         failure — including trace-replay scenarios, whose arrival rate a
         sweep cannot scale — and :class:`QueueFullError` at depth.
         """
-        request = sweep_request(manifest)
+        return self._enqueue("sweep", manifest)
+
+    def _enqueue(
+        self, kind: str, manifest: Mapping, resumed_id: Optional[str] = None
+    ) -> dict:
+        """Validate, register and enqueue one submission; return its status.
+
+        A new submission is capacity-checked, gets the next id and is
+        journaled; a journal replay (``resumed_id``) keeps its original id.
+        """
+        if kind == "sweep":
+            payload: object = sweep_request(manifest)
+            runs: list[RunState] = []
+        else:
+            payload = specs = manifest_specs(manifest)
+            runs = [RunState(s.label, config_hash(s.config)) for s in specs]
         with self._lock:
-            self._check_capacity()
-            self._seq += 1
-            cid = f"c{self._seq:06d}"
+            cid = resumed_id
+            if cid is None:
+                self._check_capacity()
+                self._seq += 1
+                cid = f"c{self._seq:06d}"
             state = CampaignState(
                 id=cid,
                 manifest=dict(manifest),
-                kind="sweep",
+                kind=kind,
+                runs=runs,
                 submitted_at=time.time(),
+                resumed=resumed_id is not None,
             )
             self._campaigns[cid] = state
             snapshot = state.to_dict()
-        if self.journal is not None:
-            self.journal.submitted(cid, "sweep", manifest)
-        self._queue.put(("sweep", cid, request))
+        if resumed_id is None and self.journal is not None:
+            self.journal.submitted(cid, kind, manifest)
+        self._queue.put((cid, payload))
         return snapshot
 
     def _check_capacity(self) -> None:
@@ -395,14 +369,11 @@ class CampaignQueue:
         # instead of racing to drain it inside the shutdown window.
         while not self._stop.is_set():
             try:
-                kind, cid, payload = self._queue.get(timeout=0.2)
+                cid, payload = self._queue.get(timeout=0.2)
             except _queuemod.Empty:
                 continue
             try:
-                if kind == "sweep":
-                    self._process_sweep(cid, payload)
-                else:
-                    self._process(cid, payload)
+                self._execute(cid, payload)
             finally:
                 self._queue.task_done()
 
@@ -414,24 +385,15 @@ class CampaignQueue:
         state.version += 1
         self._changed.notify_all()
 
-    def _set_run(self, cid: str, label: str, **updates) -> None:
-        with self._lock:
-            state = self._campaigns[cid]
-            for run in state.runs:
-                if run.label == label:
-                    for key, value in updates.items():
-                        setattr(run, key, value)
-                    self._bump(state)
-                    return
+    def _upsert_run(self, label: str, config_hash: str, **updates) -> None:
+        """Update a run state of the campaign in flight, appending it first
+        if unknown.
 
-    def _upsert_run(self, cid: str, label: str, config_hash: str, **updates) -> None:
-        """Update a run state, appending it first if unknown.
-
-        Sweep probes are chosen adaptively, so their run states cannot be
-        pre-declared at submission like a campaign's fixed grid.
+        A campaign's runs are declared at submission; sweep probes are
+        chosen adaptively, so their run states are appended as they start.
         """
         with self._lock:
-            state = self._campaigns[cid]
+            state = self._campaigns[self._current]
             for run in state.runs:
                 if run.label == label:
                     break
@@ -442,150 +404,70 @@ class CampaignQueue:
                 setattr(run, key, value)
             self._bump(state)
 
-    def _process(self, cid: str, specs: "list[RunSpec]") -> None:
-        with self._lock:
-            state = self._campaigns[cid]
-            state.status = "running"
-            state.started_at = time.time()
-            self._bump(state)
+    def _run_started(self, spec: "RunSpec", key: str) -> None:
+        self._upsert_run(spec.label, key, status="running")
 
-        def on_start(spec: "RunSpec", key: str) -> None:
-            self._set_run(cid, spec.label, status="running")
-
-        def on_done(run: "CampaignRun") -> None:
-            self._set_run(
-                cid,
-                run.label,
-                status="done",
-                from_cache=run.from_cache,
-                wall_seconds=run.wall_seconds,
-                act=float(run.result.act),
-                ae=float(run.result.ae),
-                n_done=run.result.n_done,
-                n_workflows=run.result.n_workflows,
-            )
-            self.index.record(
-                entry_from_result(
-                    run.cache_key,
-                    run.result,
-                    label=run.label,
-                    campaign_id=cid,
-                    source="service",
-                    from_cache=run.from_cache,
-                )
-            )
-
-        kwargs: dict = {}
-        if self.runner is not None:
-            kwargs["runner"] = self.runner
-        runner = CampaignRunner(
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            use_cache=self.use_cache,
-            mp_context=self.mp_context,
-            progress=on_done,
-            on_start=on_start,
-            faults=self.faults,
-            stats=self.stats,
-            **kwargs,
+    def _run_done(self, run: "CampaignRun") -> None:
+        self._upsert_run(
+            run.label,
+            run.cache_key,
+            status="done",
+            from_cache=run.from_cache,
+            wall_seconds=run.wall_seconds,
+            act=float(run.result.act),
+            ae=float(run.result.ae),
+            n_done=run.result.n_done,
+            n_workflows=run.result.n_workflows,
         )
-        try:
-            runner.run(specs)
-        except CampaignError as exc:
-            with self._lock:
-                state.status = "failed"
-                state.error = str(exc)
-        except Exception as exc:  # pragma: no cover - defensive: never wedge
-            with self._lock:
-                state.status = "failed"
-                state.error = f"{type(exc).__name__}: {exc}"
-        else:
-            with self._lock:
-                state.status = "done"
-        finally:
-            with self._lock:
-                state.finished_at = time.time()
-                final = state.status
-                self._bump(state)
-            if self.journal is not None:
-                self.journal.finished(cid, final)
+        self.index.record(
+            entry_from_result(
+                run.cache_key,
+                run.result,
+                label=run.label,
+                campaign_id=self._current,
+                source="service",
+                from_cache=run.from_cache,
+            )
+        )
 
-    def _process_sweep(self, cid: str, request: dict) -> None:
-        from repro.experiments.sweep import SweepError, SweepSettings, run_sweep
-
+    def _execute(self, cid: str, payload) -> None:
+        """Run one campaign or sweep on the queue's runner:
+        ``running -> done | failed``."""
         with self._lock:
             state = self._campaigns[cid]
             state.status = "running"
             state.started_at = time.time()
+            self._current = cid
             self._bump(state)
-
-        def on_start(spec: "RunSpec", key: str) -> None:
-            self._upsert_run(cid, spec.label, key, status="running")
-
-        def on_done(run: "CampaignRun") -> None:
-            self._upsert_run(
-                cid,
-                run.label,
-                run.cache_key,
-                status="done",
-                from_cache=run.from_cache,
-                wall_seconds=run.wall_seconds,
-                act=float(run.result.act),
-                ae=float(run.result.ae),
-                n_done=run.result.n_done,
-                n_workflows=run.result.n_workflows,
-            )
-            self.index.record(
-                entry_from_result(
-                    run.cache_key,
-                    run.result,
-                    label=run.label,
-                    campaign_id=cid,
-                    source="service",
-                    from_cache=run.from_cache,
-                )
-            )
-
-        kwargs: dict = {}
-        if self.runner is not None:
-            kwargs["runner"] = self.runner
+        report = error = None
         try:
-            report = run_sweep(
-                request["scenarios"],
-                request["algorithms"],
-                settings=SweepSettings(
-                    threshold=request["threshold"],
-                    resolution=request["resolution"],
-                    max_scale=request["max_scale"],
-                    seeds=tuple(request["seeds"]),
-                ),
-                jobs=self.jobs,
-                cache_dir=self.cache_dir,
-                use_cache=self.use_cache,
-                mp_context=self.mp_context,
-                run_progress=on_done,
-                run_on_start=on_start,
-                faults=self.faults,
-                stats=self.stats,
-                **kwargs,
-                **request["overrides"],
-            )
-        except (SweepError, CampaignError) as exc:
-            with self._lock:
-                state.status = "failed"
-                state.error = str(exc)
+            if state.kind == "sweep":
+                from repro.experiments.sweep import SweepSettings, run_sweep
+
+                report = run_sweep(
+                    payload["scenarios"],
+                    payload["algorithms"],
+                    settings=SweepSettings(
+                        threshold=payload["threshold"],
+                        resolution=payload["resolution"],
+                        max_scale=payload["max_scale"],
+                        seeds=tuple(payload["seeds"]),
+                    ),
+                    runner=self.runner,
+                    **payload["overrides"],
+                )
+            else:
+                self.runner.run(payload)
+        except (CampaignError, ValueError) as exc:  # SweepError is a ValueError
+            error = str(exc)
         except Exception as exc:  # pragma: no cover - defensive: never wedge
-            with self._lock:
-                state.status = "failed"
-                state.error = f"{type(exc).__name__}: {exc}"
-        else:
-            with self._lock:
-                state.status = "done"
-                state.report = report
-        finally:
-            with self._lock:
-                state.finished_at = time.time()
-                final = state.status
-                self._bump(state)
-            if self.journal is not None:
-                self.journal.finished(cid, final)
+            error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            state.status = "done" if error is None else "failed"
+            state.error = error
+            state.report = report
+            state.finished_at = time.time()
+            self._current = None
+            self._bump(state)
+        if self.journal is not None:
+            self.journal.finished(cid, state.status)

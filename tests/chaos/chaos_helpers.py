@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import RunSpec, sweep_specs
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.collectors import RunResult
 
 TINY = dict(
     n_nodes=24,
@@ -31,3 +32,34 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 def tiny_specs(algorithms=("dsmf", "dheft"), seeds=(1, 2)) -> "list[RunSpec]":
     return sweep_specs(algorithms, seeds, base=tiny_config())
+
+
+#: A ``POST /sweeps`` manifest whose probes stay cheap under
+#: :func:`analytic_runner`.
+SWEEP_MANIFEST = {
+    "scenarios": ["paper-fig4"],
+    "algorithms": ["dsmf", "heft"],
+    "seeds": [1],
+    "overrides": {"n_nodes": 20, "load_factor": 2, "total_time": 3600.0},
+    "resolution": 0.5,
+    "max_scale": 4.0,
+}
+
+#: Saturation scale per heuristic under :func:`analytic_runner`.
+CAPACITY = {"dsmf": 1.5, "heft": 0.6}
+
+
+def analytic_runner(config: ExperimentConfig) -> RunResult:
+    """Stand-in simulation: completion rate is a function of the scale."""
+    cap = CAPACITY[config.algorithm]
+    scale = config.workload_scale
+    rate = 1.0 if scale <= cap else max(0.0, 1.0 - (scale - cap))
+    n_workflows = max(1, round(config.load_factor * config.n_nodes * scale))
+    n_done = round(rate * n_workflows)
+    return RunResult(
+        algorithm=config.algorithm, seed=config.seed, n_nodes=config.n_nodes,
+        n_workflows=n_workflows, total_time=config.total_time,
+        act=900.0, ae=rate, n_done=n_done, n_failed=n_workflows - n_done,
+        events_executed=5, wall_seconds=0.0, rss_mean=1.0,
+        records=[], samples=[],
+    )

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from chaos_helpers import TINY_MANIFEST
+from chaos_helpers import SWEEP_MANIFEST, TINY_MANIFEST, analytic_runner
 from repro.api import run_experiment
+from repro.experiments.sweep import validate_envelope
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.client import ServiceError
 
@@ -168,6 +169,30 @@ class TestRestartResume:
         assert fresh["resumed"] is False
         # The finish was journaled: a third boot replays nothing.
         client.wait("c000002", timeout=60.0, poll=1.0)
+
+    def test_journaled_unfinished_sweep_resumes(self, make_service, tmp_path):
+        journal_path = tmp_path / "service.jsonl"
+        journal_path.write_text(
+            json.dumps(
+                {
+                    "event": "submitted",
+                    "id": "c000004",
+                    "kind": "sweep",
+                    "manifest": SWEEP_MANIFEST,
+                }
+            )
+            + "\n"
+        )
+        server, client = make_service(
+            client_retries=1, journal_path=journal_path, runner=analytic_runner
+        )
+        assert client.health()["resumed_campaigns"] == 1
+        record = client.wait("c000004", timeout=60.0, poll=1.0)
+        assert record["kind"] == "sweep"
+        assert record["status"] == "done", record
+        assert record["resumed"] is True
+        assert validate_envelope(record["report"]) == []
+        assert record["progress"]["total"] > 0  # probes were appended live
 
     def test_invalid_journaled_manifest_fails_cleanly(self, make_service, tmp_path):
         journal_path = tmp_path / "service.jsonl"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.campaign import CampaignRunner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import (
     MIN_SCALE,
@@ -43,15 +44,17 @@ def fake_runner(config: ExperimentConfig) -> RunResult:
     )
 
 
-def sweep(cache_dir=None, **kwargs):
+def sweep(cache_dir=None, work=fake_runner, **kwargs):
+    """Run a sweep on a runner whose work function is ``work``; cached
+    only when a ``cache_dir`` is given."""
     defaults = dict(
         scenarios=["paper-fig4"],
         algorithms=["dsmf"],
         base=ExperimentConfig(n_nodes=20, load_factor=2, total_time=3600.0),
         settings=SweepSettings(resolution=0.25, max_scale=8.0),
-        runner=fake_runner,
-        cache_dir=cache_dir,
-        use_cache=cache_dir is not None,
+        runner=CampaignRunner(
+            runner=work, cache_dir=cache_dir, use_cache=cache_dir is not None
+        ),
     )
     defaults.update(kwargs)
     return run_sweep(**defaults)
@@ -94,7 +97,7 @@ class TestBisection:
             r = fake_runner(config)
             return RunResult(**{**r.__dict__, "n_done": 0, "n_failed": r.n_workflows})
 
-        c = cell(sweep(base=base, runner=hopeless))
+        c = cell(sweep(base=base, work=hopeless))
         assert c["censored"]
         assert c["saturation_scale"] == 0.0
         assert min(p["scale"] for p in c["probes"]) == pytest.approx(MIN_SCALE)
@@ -203,6 +206,10 @@ class TestValidation:
             sweep(algorithms=[])
         with pytest.raises(SweepError, match="duplicate"):
             sweep(algorithms=["dsmf", "dsmf"])
+
+    def test_duplicate_scenarios_rejected(self):
+        with pytest.raises(SweepError, match="duplicate scenario"):
+            sweep(scenarios=["paper-fig4", "paper-fig4"])
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError, match="unknown scenario"):

@@ -3,9 +3,10 @@ cache replay, result fetch, index persistence across restarts."""
 
 from __future__ import annotations
 
+import socket
 
 from repro.experiments.campaign import result_digest
-from repro.service.app import ServiceState
+from repro.service.app import ServiceState, build_server
 from repro.service.client import ServiceClient
 
 
@@ -127,3 +128,25 @@ def test_client_wait_times_out_cleanly(service, tiny_manifest):
     else:  # pragma: no cover - only on an implausibly instant run
         pass
     client.wait(record["id"], timeout=60)  # leave the queue drained
+
+
+def test_listen_backlog_absorbs_a_burst_of_clients(tmp_path):
+    """A burst of connections lands in the listen backlog at once.
+
+    Nothing accepts here (no ``serve_forever``), so every connect must be
+    completed by the kernel from the backlog alone.  With socketserver's
+    default backlog of 5 the seventh SYN is dropped and its connect hangs
+    until the client's retransmit.
+    """
+    server = build_server(port=0, cache_dir=tmp_path / "cache")
+    clients = []
+    try:
+        for _ in range(64):
+            sock = socket.create_connection(server.server_address[:2], timeout=1.0)
+            clients.append(sock)
+    finally:
+        for sock in clients:
+            sock.close()
+        server.server_close()
+        server.state.close()
+    assert len(clients) == 64

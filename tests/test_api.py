@@ -88,6 +88,26 @@ def test_run_campaign_scenario_paper_default_is_bit_identical(tmp_path):
     assert preset.fingerprint() == plain.fingerprint()
 
 
+def test_run_sweep_retries_injected_worker_crash():
+    """`max_retries`/`retry_backoff`/`faults` reach the sweep's runner."""
+    from repro import run_sweep
+    from repro.experiments.campaign import CampaignError
+    from repro.faults import FaultPlan, FaultSpec
+
+    def sweep(max_retries):
+        return run_sweep(
+            ["paper-fig4"], ["dsmf"], max_scale=1.0, use_cache=False,
+            max_retries=max_retries, retry_backoff=0.0,
+            faults=FaultPlan([FaultSpec("worker.crash", at=1, key="0")]),
+            n_nodes=24, load_factor=1, total_time=4 * 3600.0, task_range=(2, 6),
+        )
+
+    with pytest.raises(CampaignError, match="injected worker crash"):
+        sweep(max_retries=0)
+    report = sweep(max_retries=2)
+    assert report["scenarios"][0]["heuristics"]["dsmf"]["n_probes"] >= 1
+
+
 def test_run_experiment_with_config():
     cfg = ExperimentConfig(n_nodes=24, load_factor=1, total_time=4 * 3600.0,
                            seed=2, task_range=(2, 6))
