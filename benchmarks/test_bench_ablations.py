@@ -118,7 +118,7 @@ class TestRescheduleAblation:
             dynamic_factor=0.2,
             churn_mode="fail",
             load_factor=2,
-            reschedule_failed=True,
+            recovery_policy="reschedule",
         )
         assert fixed.n_done > plain.n_done
         assert fixed.n_failed == 0

@@ -25,7 +25,7 @@ def run(df: float, churn_mode: str = "suspend", reschedule: bool = False):
         seed=9,
         dynamic_factor=df,
         churn_mode=churn_mode,
-        reschedule_failed=reschedule,
+        recovery_policy="reschedule" if reschedule else "fail",
     )
     return P2PGridSystem(cfg).run()
 

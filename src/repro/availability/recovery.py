@@ -2,9 +2,9 @@
 
 In ``churn_mode="fail"`` a disconnecting node takes its resident tasks
 with it.  The paper's position — rescheduling is future work — makes the
-owning workflow fail outright (:class:`FailRecovery`, the default).  The
-``reschedule_failed`` extension, previously a bare config flag, is now the
-:class:`RescheduleRecovery` policy; :class:`CheckpointRecovery` adds the
+owning workflow fail outright (:class:`FailRecovery`, the default).
+:class:`RescheduleRecovery` (``recovery_policy="reschedule"``) puts lost
+tasks back into the schedule; :class:`CheckpointRecovery` adds the
 classic checkpoint-on-dispatch discipline: the home node keeps a copy of
 every input it ships at dispatch time, so a lost task re-enters the
 schedule-point set at its last completed predecessor frontier and dead

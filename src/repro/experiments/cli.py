@@ -7,8 +7,6 @@ Subcommands
                on-disk result caching,
 ``sweep``      adaptive capacity sweep: bisect each heuristic's saturation
                arrival rate per scenario and write a JSON envelope report,
-``bench``      time the end-to-end perf scenarios and write a
-               machine-readable ``BENCH_*.json`` report,
 ``serve``      run the simulation-as-a-service HTTP API (submit campaign
                manifests, poll status, fetch cached results by hash,
                scrape Prometheus metrics from ``GET /metrics``),
@@ -29,8 +27,6 @@ Examples
     repro campaign --scenario poisson-steady -a dsmf --seeds 1 2 3
     repro sweep --scenarios paper-fig4 poisson-steady --jobs 4 -o envelope.json
     repro sweep --quick --resolution 0.5
-    repro bench --quick --scenarios paper-fig4 --output BENCH_PR3.json
-    repro bench --baseline BENCH_PR3.json --profile-top 15
     repro serve --port 8642 --jobs 4
     repro figure 4 --profile small --csv out/fig4.csv
     repro table 1
@@ -242,48 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
              "continues from where it died",
     )
     sw.add_argument("--quiet", action="store_true", help="suppress per-probe progress")
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the end-to-end perf scenarios; write a BENCH_*.json report",
-    )
-    # Names validated lazily in _cmd_bench (keeps the per-command-import
-    # convention: `repro run` never loads the perf/cProfile machinery).
-    bench.add_argument(
-        "--scenarios", "-s", nargs="+", default=None, metavar="NAME",
-        help="presets to time: paper-fig4, poisson-steady, fig11-grid, "
-             "fig10-dynamic, metro-1k (default: all)",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke-sized configs (CI; same code paths, smaller grid)")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="timing repetitions per scenario; best wall time is kept")
-    bench.add_argument("--profile-top", type=int, default=0, metavar="N",
-                       help="embed the N hottest repo functions (cProfile)")
-    bench.add_argument("--output", "-o", default=None,
-                       help="report path (default: the current PR's canonical "
-                            "BENCH_PR<N>.json artifact name)")
-    bench.add_argument(
-        "--baseline", nargs="?", const="auto", default=None, metavar="REPORT.json",
-        help="previous report to compute wall-clock speedups against; with "
-             "no path, auto-discovers the newest BENCH_PR*.json in the "
-             "current directory whose quick flag matches this run (run from "
-             "the repo root; --output is excluded)",
-    )
-    bench.add_argument(
-        "--regression-threshold", type=float, default=None, metavar="FACTOR",
-        help="exit non-zero when any common scenario's speedup vs the "
-             "baseline falls below the floor; 0.8 and 1.25 both tolerate "
-             "up to a 1.25x slowdown (values above 1 are read as the max "
-             "slowdown factor); requires --baseline",
-    )
-    bench.add_argument(
-        "--telemetry", action="store_true",
-        help="run the scenarios with telemetry enabled and embed each "
-             "scenario's counter snapshot in the report (times the "
-             "instrumented path; digests are unchanged)",
-    )
-    bench.add_argument("--quiet", action="store_true", help="suppress per-scenario progress")
 
     srv = sub.add_parser(
         "serve",
@@ -669,79 +623,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.perf.bench import (
-        DEFAULT_REPORT_NAME,
-        discover_baseline,
-        run_bench,
-        speedup_regressions,
-        validate_report,
-        write_report,
-    )
-
-    if args.output is None:
-        args.output = DEFAULT_REPORT_NAME
-    if args.regression_threshold is not None and not args.baseline:
-        raise SystemExit("--regression-threshold requires --baseline")
-    baseline = None
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        found = discover_baseline(".", exclude=args.output, quick=args.quick)
-        if found is None:
-            mode = "quick" if args.quick else "full-size"
-            raise SystemExit(
-                f"--baseline: no {mode} BENCH_PR*.json found in the current "
-                "directory to auto-discover (run from the repo root or "
-                "pass an explicit report path; quick runs only match "
-                "committed quick baselines and vice versa)"
-            )
-        baseline_path = str(found)
-        print(f"baseline: {baseline_path} (auto-discovered)", file=sys.stderr)
-    if baseline_path:
-        try:
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline report {baseline_path}: {exc}")
-    progress = None
-    if not args.quiet:
-        def progress(entry):  # noqa: ANN001
-            print(f"  [{entry['name']}] {entry['wall_seconds']:.2f}s wall, "
-                  f"{entry['events']} events ({entry['events_per_sec']:.0f}/s), "
-                  f"{entry['n_done']}/{entry['n_workflows']} workflows done",
-                  file=sys.stderr)
-    try:
-        report = run_bench(
-            scenarios=args.scenarios,
-            quick=args.quick,
-            repeats=args.repeats,
-            profile_top=args.profile_top,
-            baseline=baseline,
-            telemetry=args.telemetry,
-            progress=progress,
-        )
-    except ValueError as exc:
-        # Unknown scenario name (lists the valid ones) or a quick/full
-        # baseline mode mismatch — both raised before any timing runs.
-        raise SystemExit(str(exc))
-    problems = validate_report(report)
-    if problems:  # pragma: no cover - defensive (the harness emits valid reports)
-        raise SystemExit("invalid bench report: " + "; ".join(problems))
-    path = write_report(report, args.output)
-    print(f"wrote {path}")
-    for name, factor in report.get("speedup", {}).items():
-        print(f"  {name}: {factor:.2f}x vs baseline "
-              f"({report['baseline']['scenarios'][name]['wall_seconds']:.2f}s -> "
-              f"{dict((s['name'], s) for s in report['scenarios'])[name]['wall_seconds']:.2f}s)")
-    if args.regression_threshold is not None:
-        problems = speedup_regressions(report, args.regression_threshold)
-        if problems:
-            raise SystemExit("performance regression: " + "; ".join(problems))
-    return 0
-
-
 def _cmd_trace(args) -> int:
     import json
 
@@ -837,8 +718,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_campaign(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "trace":

@@ -112,9 +112,6 @@ class ExperimentConfig:
     #: stable ACT/AE.  ``"fail"`` loses them; the fate of the owning
     #: workflow is then the ``recovery_policy``'s call.
     churn_mode: str = "suspend"
-    #: Deprecated alias for ``recovery_policy="reschedule"`` (kept for
-    #: back-compat; normalized into ``recovery_policy`` on construction).
-    reschedule_failed: bool = False
 
     # -------------------------------------------------------- availability
     #: Who is alive, when (see :mod:`repro.availability.models`):
@@ -297,10 +294,6 @@ class ExperimentConfig:
                 f"unknown recovery_policy {self.recovery_policy!r}; "
                 f"available: {', '.join(recovery_policy_names())}"
             )
-        if self.reschedule_failed and self.recovery_policy == "fail":
-            # Promote the legacy flag to its policy (deterministic, so
-            # config hashing and provenance stay stable per input).
-            object.__setattr__(self, "recovery_policy", "reschedule")
         if self.scenario is not None:
             from repro.workload.scenarios import scenario_names
 

@@ -204,6 +204,9 @@ class ServiceState:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle on, the body of
+    #: every keep-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     server: "ServiceServer"
 
     # ------------------------------------------------------------- plumbing

@@ -105,14 +105,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown recovery_policy"):
             ExperimentConfig(recovery_policy="nope")
 
-    def test_legacy_flag_promotes_to_reschedule(self):
-        cfg = ExperimentConfig(reschedule_failed=True)
-        assert cfg.recovery_policy == "reschedule"
-
-    def test_legacy_flag_does_not_override_explicit_policy(self):
-        cfg = ExperimentConfig(reschedule_failed=True, recovery_policy="checkpoint")
-        assert cfg.recovery_policy == "checkpoint"
-
 
 class TestRescheduleExactlyOnce:
     def test_midtransfer_loss_reenters_each_task_once(self, tmp_path):

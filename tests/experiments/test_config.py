@@ -174,14 +174,6 @@ def test_invalid_availability_fields_rejected(overrides):
         ExperimentConfig(**overrides)
 
 
-def test_reschedule_failed_flag_normalizes_to_policy():
-    assert ExperimentConfig(reschedule_failed=True).recovery_policy == "reschedule"
-    assert ExperimentConfig(reschedule_failed=False).recovery_policy == "fail"
-    # An explicit policy wins over the legacy flag.
-    cfg = ExperimentConfig(reschedule_failed=True, recovery_policy="checkpoint")
-    assert cfg.recovery_policy == "checkpoint"
-
-
 def test_churn_enabled_per_model():
     assert not ExperimentConfig(churn_model="paper-interval").churn_enabled()
     assert ExperimentConfig(dynamic_factor=0.2).churn_enabled()

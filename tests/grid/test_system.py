@@ -150,7 +150,7 @@ class TestChurnIntegration:
             total_time=10 * 3600.0,
         )
         plain = P2PGridSystem(base).run()
-        resched = P2PGridSystem(base.with_(reschedule_failed=True)).run()
+        resched = P2PGridSystem(base.with_(recovery_policy="reschedule")).run()
         assert resched.n_done > plain.n_done
         assert resched.n_failed == 0
 

@@ -170,13 +170,27 @@ class TestGoldenSafety:
 
     def test_digest_identical_with_and_without_telemetry(self, tiny_config):
         from repro.experiments.campaign import result_digest
+        from repro.experiments.config import ExperimentConfig
         from repro.grid.system import P2PGridSystem
+        from repro.workload.scenarios import apply_scenario
 
-        plain = P2PGridSystem(tiny_config).run()
-        instrumented = P2PGridSystem(tiny_config.with_(telemetry=True)).run()
-        assert result_digest(plain) == result_digest(instrumented)
-        assert plain.telemetry is None
-        assert instrumented.telemetry is not None
+        # A mid-sized case next to the tiny one: the Fig. 4 preset at
+        # 40 nodes, load factor 2 and an 8 h horizon.
+        fig4 = apply_scenario(
+            ExperimentConfig(
+                algorithm="dsmf", n_nodes=40, load_factor=2,
+                total_time=8 * 3600.0, seed=7, task_range=(2, 30),
+            ),
+            "paper-fig4",
+        )
+        for config in (tiny_config, fig4):
+            plain = P2PGridSystem(config).run()
+            instrumented = P2PGridSystem(config.with_(telemetry=True)).run()
+            assert result_digest(plain) == result_digest(instrumented)
+            assert plain.telemetry is None
+            assert instrumented.telemetry is not None
+            assert (instrumented.telemetry.counters["sim.events_executed"]
+                    == instrumented.events_executed)
 
     def test_snapshot_is_populated(self, tiny_config):
         from repro.grid.system import P2PGridSystem

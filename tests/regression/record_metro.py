@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python tests/regression/record_metro.py
 
 Regenerates ``golden_metro.json``: the result-digest fingerprint of the
-``metro-1k`` preset (dsmf, seed 1) at the bench ``--quick`` horizon.  Only
+``metro-1k`` preset (dsmf, seed 1) at the 2 h metro-1k golden horizon.  Only
 run this when a PR *intentionally* changes simulation semantics at scale;
 perf refactors must replay the existing file bit-identically.
 """

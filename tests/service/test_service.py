@@ -3,7 +3,10 @@ cache replay, result fetch, index persistence across restarts."""
 
 from __future__ import annotations
 
+import http.client
 import socket
+import statistics
+import time
 
 from repro.experiments.campaign import result_digest
 from repro.service.app import ServiceState, build_server
@@ -150,3 +153,28 @@ def test_listen_backlog_absorbs_a_burst_of_clients(tmp_path):
         server.server_close()
         server.state.close()
     assert len(clients) == 64
+
+
+def test_keep_alive_round_trips_do_not_wait_for_delayed_ack(service):
+    """Sequential requests on one persistent connection answer promptly.
+
+    A response goes out as two writes (headers, then body).  With Nagle
+    on, the second write waits for the client's ACK of the first, and the
+    client delays that ACK by ~40 ms, so every keep-alive round trip
+    stalls for the whole delayed-ACK timer.
+    """
+    server, _ = service
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=5.0)
+    walls = []
+    try:
+        for _ in range(10):
+            t0 = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            walls.append(time.perf_counter() - t0)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(walls) < 0.020, walls
